@@ -437,12 +437,12 @@ def noisy_sweep(
     out: list[SweepPoint] = []
     for combo in itertools.product(steps, repeat=len(axes)):
         delta = {pair: dict(center[pair].items()) for pair in center}
-        shift_by_pair: dict[tuple[str, str], Fraction] = {}
+        pair_shift: dict[tuple[str, str], Fraction] = {}
         ok = True
         for (s, c, t), off in zip(axes, combo):
             delta[(s, c)][t] += off
-            shift_by_pair[(s, c)] = shift_by_pair.get((s, c), ZERO) + off
-        for (s, c), total in shift_by_pair.items():
+            pair_shift[(s, c)] = pair_shift.get((s, c), ZERO) + off
+        for (s, c), total in pair_shift.items():
             if abs(total) > eps:
                 ok = False
                 break

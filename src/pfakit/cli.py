@@ -134,16 +134,12 @@ def _csv_out(args, header: list[str], rows: list[list[str]]) -> None:
 
 def _cmd_eval(args) -> int:
     pa = _load_pa(args)
-    if isinstance(pa, BuchiAutomaton):
-        pa = pa.automaton
     print(_fmt(accept_prob(pa, _word(args.word))))
     return 0
 
 
 def _cmd_reach(args) -> int:
     pa = _load_pa(args)
-    if isinstance(pa, BuchiAutomaton):
-        pa = pa.automaton
     targets = set(_word(args.targets))
     print(_fmt(reach_prob(pa, args.source, _word(args.word), targets)))
     return 0
@@ -151,8 +147,6 @@ def _cmd_reach(args) -> int:
 
 def _cmd_search(args) -> int:
     pa = _load_pa(args)
-    if isinstance(pa, BuchiAutomaton):
-        pa = pa.automaton
     budget = SearchBudget(
         max_word_length=args.max_len,
         beam_width=args.beam,
@@ -247,16 +241,23 @@ def _cmd_sweep(args) -> int:
 def _cmd_case_study(args) -> int:
     rows = seesaw_case_study(args.x, args.y, args.n_max, args.m_max, args.eps)
     hit = first_exceeding(rows)
-    table = [
-        [str(r.n), str(r.m), str(r.exact), repr(r.approx), str(int(r.exceeds))]
-        for r in rows
-    ]
-    _csv_out(args, ["n", "m", "exact", "float", "exceeds"], table)
-    if hit is not None:
-        print(
-            f"first exceeding 1-eps: n={hit.n} m={hit.m} value={_fmt(hit.exact)}",
-            file=sys.stderr,
-        )
+    # Exact values outgrow Python's int-to-str digit limit; lift it only while
+    # rendering, so flags and documents are still parsed under it.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        table = [
+            [str(r.n), str(r.m), str(r.exact), repr(r.approx), str(int(r.exceeds))]
+            for r in rows
+        ]
+        _csv_out(args, ["n", "m", "exact", "float", "exceeds"], table)
+        if hit is not None:
+            print(
+                f"first exceeding 1-eps: n={hit.n} m={hit.m} value={_fmt(hit.exact)}",
+                file=sys.stderr,
+            )
+    finally:
+        sys.set_int_max_str_digits(limit)
     return 0
 
 

@@ -26,12 +26,12 @@ from .core import (
     NumberlessAutomaton,
     ProbAutomaton,
     dirac,
-    instantiate,
     require_simple,
 )
 from .errors import (
     AlphabetClash,
     DomainError,
+    InconsistentSupport,
     OrderMismatch,
     UnknownLetter,
     ValidationError,
@@ -399,27 +399,21 @@ def build_simulation(a: ProbAutomaton) -> SimulationNPA:
         for t in targets:
             support.add((s, c, t))
 
-    moved: dict[tuple[str, str], bool] = {}
-
-    def one(s: str, c: str, t: str) -> None:
-        put(s, c, t)
-        moved[(s, c)] = True
-
     # Left copies.
     for q in order:
         for c in alphabet:
             kind = parse_sim_letter(c)
             if kind[0] == "check" and kind[2] == q:
-                one(left[q], c, coin)
+                put(left[q], c, coin)
             elif kind[0] == "next_word":
-                one(left[q], c, "D:start" if q in skel.final else "D:sink")
+                put(left[q], c, "D:start" if q in skel.final else "D:sink")
             else:
                 put(left[q], c, left[q])
     # Right copies: only next_transition moves them back.
     for q in order:
         for c in alphabet:
             if c == NEXT_TRANSITION:
-                one(right[q], c, left[q])
+                put(right[q], c, left[q])
             else:
                 put(right[q], c, right[q])
     # Center.
@@ -432,15 +426,15 @@ def build_simulation(a: ProbAutomaton) -> SimulationNPA:
         if kind[0] == "apply":
             b, q = kind[1], kind[2]
             t_lam, t_other = skel.branch[(q, b)]
-            one(heads, c, right[t_lam])
-            one(tails, c, right[t_other])
-            one(skip, c, wait)
+            put(heads, c, right[t_lam])
+            put(tails, c, right[t_other])
+            put(skip, c, wait)
         else:
             put(heads, c, heads)
             put(tails, c, tails)
             put(skip, c, skip)
         if c == NEXT_WORD:
-            one(wait, c, left[skel.initial])
+            put(wait, c, left[skel.initial])
         else:
             put(wait, c, wait)
     # The checker runs itself on every letter.
@@ -479,24 +473,26 @@ def instantiate_simulation(
     if not 0 < theta < 1:
         raise DomainError(f"theta must lie strictly between 0 and 1, got {theta}")
     npa = sim.npa
-    by_pair: dict[tuple[str, str], list[str]] = {}
-    for (s, c, t) in npa.support:
-        by_pair.setdefault((s, c), []).append(t)
+    # Single-target pairs get their Dirac distribution, so they match the
+    # support by construction; only the coin pair's targets need checking.
+    outcomes = sorted((sim.heads, sim.tails, sim.skip))
+    if sorted(npa.targets(sim.coin, DOLLAR)) != outcomes:
+        raise InconsistentSupport(f"coin pair ({sim.coin!r}, {DOLLAR!r}) must target {outcomes}")
+    toss = Distribution(
+        {sim.heads: lam * theta, sim.tails: (1 - lam) * theta, sim.skip: 1 - theta}
+    )
+    diracs = {t: dirac(t) for t in npa.states}
     delta: dict[tuple[str, str], Distribution] = {}
-    dirac_cache: dict[str, Distribution] = {}
-    for (s, c), targets in by_pair.items():
-        if len(targets) == 1:
-            t = targets[0]
-            if t not in dirac_cache:
-                dirac_cache[t] = dirac(t)
-            delta[(s, c)] = dirac_cache[t]
-        else:
-            if (s, c) != (sim.coin, DOLLAR):
+    for s in npa.states:
+        for c in npa.alphabet:
+            targets = npa.targets(s, c)
+            if len(targets) == 1:
+                delta[(s, c)] = diracs[targets[0]]
+            elif (s, c) == (sim.coin, DOLLAR):
+                delta[(s, c)] = toss
+            else:
                 raise ValidationError(f"unexpected probabilistic pair ({s!r}, {c!r})")
-            delta[(s, c)] = Distribution(
-                {sim.heads: lam * theta, sim.tails: (1 - lam) * theta, sim.skip: 1 - theta}
-            )
-    return instantiate(npa, delta)
+    return ProbAutomaton(npa.states, npa.alphabet, npa.initial, delta, npa.final)
 
 
 def simulation_parameters(sim: SimulationNPA, pa: ProbAutomaton) -> tuple[Fraction, Fraction]:

@@ -29,8 +29,6 @@ from .errors import (
     ValidationError,
 )
 
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -42,11 +40,6 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"not a rational: {text!r} ({exc})") from None
-
-
-def format_rational(q: Fraction) -> str:
-    """Render a Fraction as 'p/q' (or 'p' when the denominator is 1)."""
-    return str(q)
 
 
 class Distribution:
@@ -104,11 +97,6 @@ class Distribution:
         return f"Distribution({{{inner}}})"
 
 
-def make_distribution(entries: Mapping[str, Fraction | int]) -> Distribution:
-    """Build a Distribution, dropping zero entries. Raises NotADistribution."""
-    return Distribution(entries)
-
-
 def dirac(state: str) -> Distribution:
     """The point distribution on one state."""
     return Distribution({state: ONE})
@@ -160,13 +148,14 @@ class ProbAutomaton:
                     raise ValidationError(f"missing distribution for ({s!r}, {a!r})")
                 if not isinstance(d, Distribution):
                     raise ValidationError(f"delta[({s!r}, {a!r})] is not a Distribution")
-                stray = d.support() - state_set
-                if stray:
+                if not state_set.issuperset(d):
+                    stray = d.support() - state_set
                     raise ValidationError(
                         f"delta[({s!r}, {a!r})] targets unknown states {sorted(stray)}"
                     )
-        extra = set(self.delta) - {(s, a) for s in self.states for a in self.alphabet}
-        if extra:
+        # Every declared pair is present, so a larger table has extra pairs.
+        if len(self.delta) != len(self.states) * len(self.alphabet):
+            extra = set(self.delta) - {(s, a) for s in self.states for a in self.alphabet}
             raise ValidationError(f"delta has entries for unknown pairs {sorted(extra)}")
         object.__setattr__(self, "_state_set", state_set)
         object.__setattr__(self, "_letter_set", letter_set)
@@ -377,17 +366,13 @@ def instantiate(
     if stray:
         s, a = sorted(stray)[0]
         raise InconsistentSupport(f"distribution given for unknown pair ({s!r}, {a!r})")
-    by_pair: dict[tuple[str, str], set[str]] = {}
-    for (s, a, t) in npa.support:
-        by_pair.setdefault((s, a), set()).add(t)
-    delta: dict[tuple[str, str], Distribution] = {}
     for s in npa.states:
         for a in npa.alphabet:
             dist = delta_spec.get((s, a))
             if dist is None:
                 raise InconsistentSupport(f"missing: no distribution for ({s!r}, {a!r})")
-            wanted = by_pair[(s, a)]
-            got = set(dist.support())
+            wanted = frozenset(npa.targets(s, a))
+            got = dist.support()
             for t in sorted(wanted - got):
                 raise InconsistentSupport(
                     f"missing: ({s!r}, {a!r}, {t!r}) is in the support but got zero mass"
@@ -396,8 +381,7 @@ def instantiate(
                 raise InconsistentSupport(
                     f"extra: ({s!r}, {a!r}, {t!r}) got mass {dist[t]} outside the support"
                 )
-            delta[(s, a)] = dist
-    return ProbAutomaton(npa.states, npa.alphabet, npa.initial, delta, npa.final)
+    return ProbAutomaton(npa.states, npa.alphabet, npa.initial, delta_spec, npa.final)
 
 
 def monte_carlo_accept(

@@ -239,27 +239,28 @@ def document_to_automaton(
     """Build the validated automaton a document denotes.
 
     A numberless document without bindings yields a NumberlessAutomaton; with
-    bindings its expressions are evaluated and the result instantiated.
+    bindings its expressions are evaluated and instantiated on the support the
+    document lists, so a target whose expression evaluates to zero raises
+    InconsistentSupport.
     "pa"/"pba" documents always evaluate expressions (bindings optional).
     """
     state_set = set(doc.states)
     for rec in doc.transitions:
         if rec.source not in state_set:
             raise ValidationError(f"transition from unknown state {rec.source!r}")
-        targets = rec.to if isinstance(rec.to, tuple) else rec.to.keys()
-        for t in targets:
+        for t in rec.to:
             if t not in state_set:
                 raise ValidationError(f"transition to unknown state {t!r}")
 
-    if doc.kind == "npa" and bindings is None:
-        support = set()
-        for rec in doc.transitions:
-            targets = rec.to if isinstance(rec.to, tuple) else rec.to.keys()
-            for t in targets:
-                support.add((rec.source, rec.letter, t))
-        return NumberlessAutomaton(
-            doc.states, doc.alphabet, doc.initial, frozenset(support), frozenset(doc.final)
+    if doc.kind == "npa":
+        support = frozenset(
+            (rec.source, rec.letter, t) for rec in doc.transitions for t in rec.to
         )
+        npa = NumberlessAutomaton(
+            doc.states, doc.alphabet, doc.initial, support, frozenset(doc.final)
+        )
+        if bindings is None:
+            return npa
 
     delta: dict[tuple[str, str], Distribution] = {}
     for rec in doc.transitions:
@@ -277,12 +278,6 @@ def document_to_automaton(
         delta[pair] = Distribution(entries)
 
     if doc.kind == "npa":
-        support = frozenset(
-            (s, c, t) for (s, c), d in delta.items() for t in d.support()
-        )
-        npa = NumberlessAutomaton(
-            doc.states, doc.alphabet, doc.initial, support, frozenset(doc.final)
-        )
         return instantiate(npa, delta)
     pa = ProbAutomaton(doc.states, doc.alphabet, doc.initial, delta, frozenset(doc.final))
     if doc.kind == "pba":

@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 
 from pfakit import (
+    Distribution,
     ProbAutomaton,
     dirac,
-    make_distribution,
     seesaw_npa,
     seesaw_pa,
 )
@@ -34,7 +34,7 @@ def seesaw_support():
 def tiny_pa():
     """Two states, one letter: q0 splits evenly, q1 absorbs and accepts."""
     delta = {
-        ("q0", "a"): make_distribution({"q0": HALF, "q1": HALF}),
+        ("q0", "a"): Distribution({"q0": HALF, "q1": HALF}),
         ("q1", "a"): dirac("q1"),
     }
     return ProbAutomaton(("q0", "q1"), ("a",), "q0", delta, frozenset({"q1"}))

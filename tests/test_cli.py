@@ -1,5 +1,6 @@
 import csv
 import json
+import sys
 from fractions import Fraction as F
 from io import StringIO
 
@@ -172,6 +173,22 @@ class TestReports:
             assert exceeds == ("1" if want > F(99, 100) else "0")
         assert "n=5 m=64" in err
 
+    def test_case_study_prints_huge_exact_values(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run(
+            capsys, "case-study", "--x", "7/8", "--y", "3/8",
+            "--n-max", "10", "--m-max", "512",
+        )
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        rows = list(csv.reader(StringIO(out)))[1:]
+        sys.set_int_max_str_digits(0)
+        try:
+            for n, m, exact, _approx, _exceeds in rows:
+                assert F(exact) == seesaw_closed_form(F(7, 8), F(3, 8), int(n), int(m))
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_check_props_exit_zero(self, capsys, tmp_path):
         out_path = tmp_path / "props.csv"
         code, _, _ = run(
@@ -248,6 +265,14 @@ class TestErrors:
             "--set", "x=blue", "--word", "i",
         )
         assert code == 2
+
+    def test_binding_that_drops_a_listed_target(self, capsys, seesaw_doc):
+        code, _, err = run(
+            capsys, "eval", "--automaton", seesaw_doc,
+            "--set", "x=1", "--set", "y=1/4", "--word", "i a f",
+        )
+        assert code == 2
+        assert "('L1', 'a', 'C2')" in err
 
     def test_sweep_rejects_pa_document(self, capsys, tiny_doc):
         code, _, err = run(

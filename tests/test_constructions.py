@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -12,6 +13,7 @@ from pfakit import (
     SHARP,
     AlphabetClash,
     DomainError,
+    InconsistentSupport,
     NotSimple,
     OrderMismatch,
     ValidationError,
@@ -27,6 +29,7 @@ from pfakit import (
     erase_sharps,
     fair_coin,
     hat,
+    instantiate,
     instantiate_simulation,
     parse_sim_letter,
     random_simple_pa,
@@ -228,6 +231,16 @@ class TestSimulation:
             for theta in (F(1, 4), F(1, 2), F(3, 4)):
                 c = instantiate_simulation(sim, lam, theta)
                 assert simulation_parameters(sim, c) == (lam, theta)
+
+    def test_agrees_with_generic_instantiate(self):
+        for seed in range(5):
+            sim = build_simulation(random_simple_pa(seed, 2, 1))
+            c = instantiate_simulation(sim, F(1, 3), F(1, 4))
+            assert c == instantiate(sim.npa, dict(c.delta))
+
+    def test_coin_targets_checked(self, sim):
+        with pytest.raises(InconsistentSupport):
+            instantiate_simulation(dataclasses.replace(sim, skip=sim.wait), F(1, 2), F(1, 2))
 
     def test_degenerate_parameters_rejected(self, sim):
         for lam, theta in ((F(0), F(1, 2)), (F(1), F(1, 2)), (F(1, 2), F(0)), (F(1, 2), F(1))):

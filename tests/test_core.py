@@ -23,7 +23,6 @@ from pfakit import (
     distribution_after,
     instantiate,
     is_simple,
-    make_distribution,
     monte_carlo_accept,
     parse_rational,
     random_simple_pa,
@@ -80,7 +79,7 @@ class TestDistribution:
         assert d["missing"] == 0
 
     def test_mass(self):
-        d = make_distribution({"a": F(1, 4), "b": F(1, 4), "c": HALF})
+        d = Distribution({"a": F(1, 4), "b": F(1, 4), "c": HALF})
         assert d.mass({"a", "c"}) == F(3, 4)
         assert d.mass(()) == 0
 
@@ -239,7 +238,7 @@ class TestSupportRoundTrip:
 
         pa = seesaw_pa(HALF, HALF)
         spec = dict(pa.delta)
-        spec[("C1", "f")] = make_distribution({"C1": HALF, "L2": HALF})
+        spec[("C1", "f")] = Distribution({"C1": HALF, "L2": HALF})
         with pytest.raises(InconsistentSupport):
             instantiate(seesaw_support, spec)
 

@@ -6,6 +6,7 @@ import pytest
 
 from pfakit import (
     BuchiAutomaton,
+    InconsistentSupport,
     NumberlessAutomaton,
     ParseError,
     ProbAutomaton,
@@ -131,6 +132,11 @@ class TestSeesawDocument:
         )
         assert isinstance(pa, ProbAutomaton)
         assert pa == seesaw_pa(F(3, 4), F(1, 4))
+
+    def test_binding_must_keep_the_listed_support(self):
+        doc = parse_document(seesaw_text())
+        with pytest.raises(InconsistentSupport, match="'C2'"):
+            document_to_automaton(doc, {"x": F(1), "y": F(1, 4)})
 
     def test_params_listed(self):
         doc = parse_document(seesaw_text())

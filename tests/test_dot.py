@@ -1,11 +1,11 @@
 from fractions import Fraction as F
 
 from pfakit import (
+    Distribution,
     ProbAutomaton,
     buchi_reduction,
     dirac,
     export_dot,
-    make_distribution,
     seesaw_npa,
     seesaw_pa,
 )
@@ -50,7 +50,7 @@ class TestExportDot:
             ("a",),
             'q"0',
             {
-                ('q"0', "a"): make_distribution({'q"0': F(1, 2), "q1": F(1, 2)}),
+                ('q"0', "a"): Distribution({'q"0': F(1, 2), "q1": F(1, 2)}),
                 ("q1", "a"): dirac("q1"),
             },
             frozenset({"q1"}),
