@@ -39,6 +39,7 @@ from .constructions import (
 from .analysis import LassoWord, SearchBudget, lasso_prob, noisy_sweep, value_lower_bound
 from .documents import (
     AutomatonDocument,
+    bound_transitions,
     document_to_automaton,
     parse_document,
     serialize_automaton,
@@ -219,13 +220,14 @@ def _cmd_sweep(args) -> int:
     if not bindings and doc.params:
         raise ValidationError("sweep needs a center; bind parameters with --set")
     npa = document_to_automaton(doc)
-    if isinstance(npa, (ProbAutomaton, BuchiAutomaton)):
+    if not isinstance(npa, NumberlessAutomaton):
         raise ValidationError("sweep expects a numberless (npa) document")
-    center_pa = document_to_automaton(doc, bindings or None)
-    if not isinstance(center_pa, ProbAutomaton):
+    if not bindings:
         raise ValidationError("the bound document must give a probabilistic center")
+    # noisy_sweep instantiates the center on npa: that is its one validation.
+    center = bound_transitions(doc, bindings)
     budget = SearchBudget(max_word_length=args.max_len, beam_width=args.beam)
-    points = noisy_sweep(npa, center_pa.delta, args.eps, args.grid, budget)
+    points = noisy_sweep(npa, center, args.eps, args.grid, budget)
     rows = []
     for pt in points:
         offsets = (
@@ -536,8 +538,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # Rational flags are parsed here, so their errors exit 2 as well.
+        args = parser.parse_args(argv)
         return args.func(args)
     except AutomatonError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -25,13 +25,13 @@ from .core import (
     Distribution,
     NumberlessAutomaton,
     ProbAutomaton,
+    Skeleton,
     dirac,
     require_simple,
 )
 from .errors import (
     AlphabetClash,
     DomainError,
-    InconsistentSupport,
     OrderMismatch,
     UnknownLetter,
     ValidationError,
@@ -465,34 +465,26 @@ def build_simulation(a: ProbAutomaton) -> SimulationNPA:
 def instantiate_simulation(
     sim: SimulationNPA, lam: Fraction, theta: Fraction
 ) -> ProbAutomaton:
-    """Give the one coin its numbers: heads lam*theta, tails (1-lam)*theta, skip 1-theta."""
+    """Give the one coin its numbers: heads lam*theta, tails (1-lam)*theta, skip 1-theta.
+
+    The first call on ``sim`` caches the :class:`~pfakit.core.Skeleton` of
+    ``sim.npa`` on it, with (coin, $) as its one open pair; every instance of
+    ``sim`` shares those integer rows and carries only its own coin toss.
+    """
     lam = Fraction(lam)
     theta = Fraction(theta)
     if not 0 < lam < 1:
         raise DomainError(f"lam must lie strictly between 0 and 1, got {lam}")
     if not 0 < theta < 1:
         raise DomainError(f"theta must lie strictly between 0 and 1, got {theta}")
-    npa = sim.npa
-    # Single-target pairs get their Dirac distribution, so they match the
-    # support by construction; only the coin pair's targets need checking.
-    outcomes = sorted((sim.heads, sim.tails, sim.skip))
-    if sorted(npa.targets(sim.coin, DOLLAR)) != outcomes:
-        raise InconsistentSupport(f"coin pair ({sim.coin!r}, {DOLLAR!r}) must target {outcomes}")
     toss = Distribution(
         {sim.heads: lam * theta, sim.tails: (1 - lam) * theta, sim.skip: 1 - theta}
     )
-    diracs = {t: dirac(t) for t in npa.states}
-    delta: dict[tuple[str, str], Distribution] = {}
-    for s in npa.states:
-        for c in npa.alphabet:
-            targets = npa.targets(s, c)
-            if len(targets) == 1:
-                delta[(s, c)] = diracs[targets[0]]
-            elif (s, c) == (sim.coin, DOLLAR):
-                delta[(s, c)] = toss
-            else:
-                raise ValidationError(f"unexpected probabilistic pair ({s!r}, {c!r})")
-    return ProbAutomaton(npa.states, npa.alphabet, npa.initial, delta, npa.final)
+    skeleton = sim.__dict__.get("_skeleton")
+    if skeleton is None:
+        skeleton = Skeleton(sim.npa, {(sim.coin, DOLLAR)})
+        object.__setattr__(sim, "_skeleton", skeleton)
+    return skeleton.instantiate({(sim.coin, DOLLAR): toss})
 
 
 def simulation_parameters(sim: SimulationNPA, pa: ProbAutomaton) -> tuple[Fraction, Fraction]:

@@ -8,16 +8,36 @@ matters.
 
 Automata are total: every (state, letter) pair must carry a distribution (or a
 support set, for :class:`NumberlessAutomaton`). Partial transition tables can
-be closed off with :func:`complete_with_sink`.
+be closed off with :func:`complete_with_sink`. Validation happens once, when an
+automaton is constructed; evaluation never re-checks it.
+
+Evaluation runs on a compiled integer form of the automaton, built the first
+time the automaton is evaluated and cached on it (automata that are only
+built, serialized or exported never compile). States become indices in
+declaration order. Each letter gets a list over source states whose entry is
+either a bare target index (a Dirac row) or a tuple of (target index, integer
+numerator) pairs over the letter's common denominator. A belief is a dict of
+integer masses over state indices plus one integer scale: reading a letter
+multiplies the scale by the letter's denominator only when the belief touches
+one of its non-Dirac rows, so deterministic moves never multiply. One loop,
+:func:`_advance`, serves :func:`step`, :func:`distribution_after`,
+:func:`trace_word`, :func:`accept_prob` and :func:`reach_prob`; exact
+``Fraction`` results are built only where they are returned, so they are the
+same canonical fractions a Fraction-by-Fraction evaluation gives.
+
+A :class:`Skeleton` holds the single-target pairs of a support automaton as
+such integer rows. Automata instantiated on it share the rows and carry only
+their few multi-target distributions; their ``delta`` is a read-only view.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DomainError,
@@ -33,9 +53,27 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
+# Largest decimal exponent a rational literal may carry: Python's own limit on
+# the digits of an integer literal, so "1e-4300" is the smallest step.
+MAX_EXPONENT = 4300
+
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q' or 'p' into a Fraction. Raises DomainError on junk."""
+    """Parse 'p/q', 'p' or a decimal like '0.25' / '1e-3' into a Fraction.
+
+    Raises DomainError on junk and on decimal exponents beyond
+    ``MAX_EXPONENT``, which would build numbers of unbounded size.
+    """
+    _mantissa, e, exponent = text.strip().lower().partition("e")
+    if e:
+        try:
+            too_big = abs(int(exponent)) > MAX_EXPONENT
+        except ValueError:
+            too_big = False  # not an exponent; Fraction reports the junk
+        if too_big:
+            raise DomainError(
+                f"not a rational: {text!r} (exponent beyond +-{MAX_EXPONENT})"
+            )
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -46,8 +84,9 @@ class Distribution:
     """A finitely supported exact probability distribution over state ids.
 
     Zero entries are dropped on construction; the stored entries are strictly
-    positive and sum to exactly one. Entries iterate in sorted state order, so
-    equal distributions are indistinguishable however they were built.
+    positive and sum to exactly one. Masses must be exact: ints, Fractions or
+    rational strings, never floats or bools. Entries iterate in sorted state
+    order, so equal distributions are indistinguishable however they were built.
     """
 
     __slots__ = ("_entries",)
@@ -56,7 +95,12 @@ class Distribution:
         kept: dict[str, Fraction] = {}
         total = ZERO
         for state in sorted(entries):
-            p = Fraction(entries[state])
+            p = entries[state]
+            if isinstance(p, (float, bool)):
+                raise NotADistribution(
+                    f"mass {p!r} on state {state!r} is a {type(p).__name__}, not an exact rational"
+                )
+            p = Fraction(p)
             if p < 0:
                 raise NotADistribution(f"negative mass {p} on state {state!r}")
             if p == 0:
@@ -66,6 +110,13 @@ class Distribution:
         if total != 1:
             raise NotADistribution(f"entries sum to {total}, expected 1")
         self._entries = kept
+
+    @classmethod
+    def _exact(cls, items: Iterable[tuple[str, Fraction]]) -> Distribution:
+        """Wrap positive entries in sorted state order that sum to one."""
+        d = cls.__new__(cls)
+        d._entries = dict(items)
+        return d
 
     def support(self) -> frozenset[str]:
         return frozenset(self._entries)
@@ -119,6 +170,8 @@ class ProbAutomaton:
 
     ``delta`` maps every (state, letter) pair to a Distribution; ``final`` is
     the accepting set. Instances are treated as immutable after construction.
+    A ``delta`` made by :meth:`Skeleton.instantiate` was validated there and
+    is kept as the shared view it is.
     """
 
     states: tuple[str, ...]
@@ -130,7 +183,6 @@ class ProbAutomaton:
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        object.__setattr__(self, "delta", dict(self.delta))
         object.__setattr__(self, "final", frozenset(self.final))
         _check_ids("state", self.states)
         _check_ids("letter", self.alphabet)
@@ -141,22 +193,13 @@ class ProbAutomaton:
         bad_final = self.final - state_set
         if bad_final:
             raise ValidationError(f"final states {sorted(bad_final)} not among states")
-        for s in self.states:
-            for a in self.alphabet:
-                d = self.delta.get((s, a))
-                if d is None:
-                    raise ValidationError(f"missing distribution for ({s!r}, {a!r})")
-                if not isinstance(d, Distribution):
-                    raise ValidationError(f"delta[({s!r}, {a!r})] is not a Distribution")
-                if not state_set.issuperset(d):
-                    stray = d.support() - state_set
-                    raise ValidationError(
-                        f"delta[({s!r}, {a!r})] targets unknown states {sorted(stray)}"
-                    )
-        # Every declared pair is present, so a larger table has extra pairs.
-        if len(self.delta) != len(self.states) * len(self.alphabet):
-            extra = set(self.delta) - {(s, a) for s in self.states for a in self.alphabet}
-            raise ValidationError(f"delta has entries for unknown pairs {sorted(extra)}")
+        if isinstance(self.delta, _SkeletonDelta):
+            skel = self.delta.skeleton
+            if (self.states, self.alphabet) != (skel.states, skel.alphabet):
+                raise ValidationError("delta is a skeleton view over other states or letters")
+        else:
+            object.__setattr__(self, "delta", dict(self.delta))
+            _check_delta(self.states, self.alphabet, state_set, self.delta)
         object.__setattr__(self, "_state_set", state_set)
         object.__setattr__(self, "_letter_set", letter_set)
 
@@ -165,6 +208,25 @@ class ProbAutomaton:
 
     def letter_set(self) -> frozenset[str]:
         return self._letter_set  # type: ignore[attr-defined]
+
+
+def _check_delta(states, alphabet, state_set, delta) -> None:
+    for s in states:
+        for a in alphabet:
+            d = delta.get((s, a))
+            if d is None:
+                raise ValidationError(f"missing distribution for ({s!r}, {a!r})")
+            if not isinstance(d, Distribution):
+                raise ValidationError(f"delta[({s!r}, {a!r})] is not a Distribution")
+            if not state_set.issuperset(d):
+                stray = d.support() - state_set
+                raise ValidationError(
+                    f"delta[({s!r}, {a!r})] targets unknown states {sorted(stray)}"
+                )
+    # Every declared pair is present, so a larger table has extra pairs.
+    if len(delta) != len(states) * len(alphabet):
+        extra = set(delta) - {(s, a) for s in states for a in alphabet}
+        raise ValidationError(f"delta has entries for unknown pairs {sorted(extra)}")
 
 
 @dataclass(frozen=True)
@@ -259,68 +321,258 @@ def complete_with_sink(
     return ProbAutomaton(tuple(states), tuple(alphabet), initial, full, frozenset(final))
 
 
-def _require_letters(pa: ProbAutomaton, word: Sequence[str]) -> None:
-    letters = pa.letter_set()
-    for a in word:
-        if a not in letters:
-            raise UnknownLetter(f"letter {a!r} not in alphabet {list(pa.alphabet)}")
+# --- shared Dirac skeletons ----------------------------------------------------
+
+
+class Skeleton:
+    """The single-target pairs of a support automaton, as integer rows.
+
+    ``rows[letter][i]`` is the index of the one target of
+    ``(states[i], letter)``. The ``open`` pairs may have several targets;
+    :meth:`instantiate` gives them distributions. Every automaton built that
+    way shares these rows: it holds only its open distributions, and its
+    ``delta`` is a read-only view that answers the other pairs with Diracs.
+    The skeleton keeps no reference to the support automaton it came from.
+    """
+
+    __slots__ = ("states", "alphabet", "initial", "final", "open", "index", "rows", "diracs")
+
+    def __init__(self, npa: NumberlessAutomaton, open_pairs: Iterable[tuple[str, str]]):
+        self.states, self.alphabet = npa.states, npa.alphabet
+        self.initial, self.final = npa.initial, npa.final
+        self.open = {(s, a): frozenset(npa.targets(s, a)) for s, a in sorted(open_pairs)}
+        self.index = {s: i for i, s in enumerate(npa.states)}
+        target_map = npa._target_map  # type: ignore[attr-defined]
+        rows: dict[str, list[int]] = {a: [] for a in npa.alphabet}
+        for s in npa.states:
+            for a in npa.alphabet:
+                hits = target_map[(s, a)]
+                if len(hits) != 1 and (s, a) not in self.open:
+                    raise ValidationError(f"unexpected probabilistic pair ({s!r}, {a!r})")
+                rows[a].append(self.index[hits[0]])
+        self.rows = rows
+        self.diracs = [dirac(s) for s in npa.states]
+
+    def instantiate(self, spec: Mapping[tuple[str, str], Distribution]) -> ProbAutomaton:
+        """The automaton whose open pairs carry ``spec``'s distributions.
+
+        ``spec`` must cover exactly the open pairs and put positive mass on
+        exactly their support, as :func:`instantiate` demands of a full table.
+        """
+        for s, a in sorted(set(spec) - set(self.open)):
+            raise InconsistentSupport(f"distribution given for unknown pair ({s!r}, {a!r})")
+        for (s, a), wanted in self.open.items():
+            dist = spec.get((s, a))
+            if dist is None:
+                raise InconsistentSupport(f"missing: no distribution for ({s!r}, {a!r})")
+            if not isinstance(dist, Distribution):
+                raise ValidationError(f"delta[({s!r}, {a!r})] is not a Distribution")
+            _check_support(s, a, wanted, dist)
+        view = _SkeletonDelta(self, dict(spec))
+        return ProbAutomaton(self.states, self.alphabet, self.initial, view, self.final)
+
+
+class _SkeletonDelta(Mapping):
+    """The transition table of an automaton built on a :class:`Skeleton`."""
+
+    __slots__ = ("skeleton", "spec")
+
+    def __init__(self, skeleton: Skeleton, spec: dict[tuple[str, str], Distribution]):
+        self.skeleton = skeleton
+        self.spec = spec
+
+    def __getitem__(self, key):
+        try:
+            d = self.spec.get(key)
+            if d is not None:
+                return d
+            skel = self.skeleton
+            return skel.diracs[skel.rows[key[1]][skel.index[key[0]]]]
+        except (KeyError, TypeError, IndexError):
+            raise KeyError(key) from None
+
+    def __iter__(self):
+        skel = self.skeleton
+        return ((s, a) for s in skel.states for a in skel.alphabet)
+
+    def __len__(self) -> int:
+        return len(self.skeleton.states) * len(self.skeleton.alphabet)
+
+
+# --- the compiled integer kernel -------------------------------------------------
+
+
+class _Kernel:
+    """The compiled form of one automaton (see the module docstring).
+
+    ``rows[letter]`` is ``(den, row, split)``: ``split`` is the frozenset of
+    source indices whose row is a tuple of (target, numerator over den) pairs,
+    every other entry of ``row`` is a target index, and ``den`` is 1 when
+    ``split`` is empty. ``draws[letter]`` is the same list shape for Monte
+    Carlo, with each split row replaced by ``(lcm of the row's denominators,
+    ((target, cumulative numerator), ...))`` in sorted state order.
+    """
+
+    __slots__ = ("states", "alphabet", "index", "rows", "draws", "final")
+
+    def __init__(self, pa: ProbAutomaton):
+        delta = pa.delta
+        self.states, self.alphabet = pa.states, pa.alphabet
+        if isinstance(delta, _SkeletonDelta):
+            index = delta.skeleton.index
+            base = delta.skeleton.rows
+            split: dict[str, list[tuple[int, Distribution]]] = {}
+            for (s, a), d in delta.spec.items():
+                split.setdefault(a, []).append((index[s], d))
+        else:
+            index = {s: i for i, s in enumerate(pa.states)}
+            base, split = {}, {}
+            for a in pa.alphabet:
+                row = []
+                for i, s in enumerate(pa.states):
+                    d = delta[(s, a)]
+                    if len(d) == 1:
+                        row.append(index[next(iter(d))])
+                    else:
+                        row.append(i)  # replaced below
+                        split.setdefault(a, []).append((i, d))
+                base[a] = row
+        self.index = index
+        self.rows: dict[str, tuple[int, list, frozenset[int]]] = {}
+        self.draws: dict[str, list] = {}
+        for a in pa.alphabet:
+            self._compile_letter(a, base[a], split.get(a, ()))
+        self.final = frozenset(index[s] for s in pa.final)
+
+    def _compile_letter(self, a: str, base: list[int], split) -> None:
+        if not split:
+            self.rows[a] = (1, base, frozenset())
+            self.draws[a] = base
+            return
+        index = self.index
+        den = math.lcm(*(p.denominator for _, d in split for _, p in d.items()))
+        row, draw = list(base), list(base)
+        for i, d in split:
+            items = d.items()
+            row[i] = tuple((index[t], p.numerator * (den // p.denominator)) for t, p in items)
+            row_den = math.lcm(*(p.denominator for _, p in items))
+            cum, table = 0, []
+            for t, p in items:
+                cum += p.numerator * (row_den // p.denominator)
+                table.append((index[t], cum))
+            draw[i] = (row_den, tuple(table))
+        self.rows[a] = (den, row, frozenset(i for i, _ in split))
+        self.draws[a] = draw
+
+    def lookup(self, table: dict[str, list], word: Sequence[str]) -> list:
+        """The entries of ``table`` (``rows`` or ``draws``) for each letter of
+        ``word``, in order."""
+        try:
+            return [table[a] for a in word]
+        except KeyError as exc:
+            raise UnknownLetter(
+                f"letter {exc.args[0]!r} not in alphabet {list(self.alphabet)}"
+            ) from None
+
+    def distribution(self, belief: dict[int, int], scale: int) -> Distribution:
+        states = self.states
+        return Distribution._exact(
+            sorted((states[i], Fraction(m, scale)) for i, m in belief.items())
+        )
+
+
+def _kernel(pa: ProbAutomaton) -> _Kernel:
+    """The automaton's compiled form, built on first use and cached on it."""
+    k = pa.__dict__.get("_kernel")
+    if k is None:
+        k = _Kernel(pa)
+        object.__setattr__(pa, "_kernel", k)
+    return k
+
+
+def _advance(rows: Iterable[tuple], belief: dict[int, int], scale: int):
+    """Push the belief ``belief / scale`` through the letters whose compiled
+    rows are ``rows``; returns the new (belief, scale)."""
+    for den, row, split in rows:
+        nxt: dict[int, int] = {}
+        if belief.keys().isdisjoint(split):
+            for s, m in belief.items():
+                t = row[s]
+                nxt[t] = nxt.get(t, 0) + m
+        else:
+            scale *= den
+            for s, m in belief.items():
+                r = row[s]
+                if r.__class__ is int:
+                    nxt[r] = nxt.get(r, 0) + m * den
+                else:
+                    for t, q in r:
+                        nxt[t] = nxt.get(t, 0) + m * q
+        belief = nxt
+    return belief, scale
+
+
+def _start(k: _Kernel, state: str) -> dict[int, int]:
+    try:
+        return {k.index[state]: 1}
+    except KeyError:
+        raise UnknownState(f"unknown source state {state!r}") from None
 
 
 def step(pa: ProbAutomaton, d: Distribution, letter: str) -> Distribution:
     """One synchronous step: push the whole distribution through ``letter``."""
-    if letter not in pa.letter_set():
-        raise UnknownLetter(f"letter {letter!r} not in alphabet {list(pa.alphabet)}")
-    states = pa.state_set()
-    acc: dict[str, Fraction] = {}
+    k = _kernel(pa)
+    (rows,) = k.lookup(k.rows, (letter,))
+    scale = math.lcm(*(p.denominator for _, p in d.items()))
+    belief: dict[int, int] = {}
     for s, p in d.items():
-        if s not in states:
+        i = k.index.get(s)
+        if i is None:
             raise UnknownState(f"distribution mentions unknown state {s!r}")
-        for t, q in pa.delta[(s, letter)].items():
-            acc[t] = acc.get(t, ZERO) + p * q
-    return Distribution(acc)  # re-validates mass 1 after every step
+        belief[i] = p.numerator * (scale // p.denominator)
+    return k.distribution(*_advance((rows,), belief, scale))
 
 
 def distribution_after(pa: ProbAutomaton, word: Sequence[str]) -> Distribution:
     """The state distribution after reading ``word`` from the initial state."""
-    _require_letters(pa, word)
-    d = dirac(pa.initial)
-    for a in word:
-        d = step(pa, d, a)
-    return d
+    k = _kernel(pa)
+    return k.distribution(*_advance(k.lookup(k.rows, word), _start(k, pa.initial), 1))
+
+
+def _mass(belief: dict[int, int], scale: int, targets: frozenset[int]) -> Fraction:
+    return Fraction(sum(m for i, m in belief.items() if i in targets), scale)
 
 
 def accept_prob(pa: ProbAutomaton, word: Sequence[str]) -> Fraction:
     """Exact probability that ``word`` ends in the accepting set."""
-    return distribution_after(pa, word).mass(pa.final)
+    k = _kernel(pa)
+    belief, scale = _advance(k.lookup(k.rows, word), _start(k, pa.initial), 1)
+    return _mass(belief, scale, k.final)
 
 
 def trace_word(pa: ProbAutomaton, word: Sequence[str]) -> WordEvalTrace:
     """Like accept_prob, but keeps the distribution after every prefix."""
-    _require_letters(pa, word)
-    d = dirac(pa.initial)
-    dists = [d]
-    for a in word:
-        d = step(pa, d, a)
-        dists.append(d)
-    return WordEvalTrace(tuple(word), tuple(dists), d.mass(pa.final))
+    k = _kernel(pa)
+    belief, scale = _start(k, pa.initial), 1
+    dists = [k.distribution(belief, scale)]
+    for rows in k.lookup(k.rows, word):
+        belief, scale = _advance((rows,), belief, scale)
+        dists.append(k.distribution(belief, scale))
+    return WordEvalTrace(tuple(word), tuple(dists), _mass(belief, scale, k.final))
 
 
 def reach_prob(
     pa: ProbAutomaton, source: str, word: Sequence[str], targets: Iterable[str]
 ) -> Fraction:
     """Exact probability of ending inside ``targets`` after reading ``word`` from ``source``."""
-    states = pa.state_set()
-    if source not in states:
-        raise UnknownState(f"unknown source state {source!r}")
+    k = _kernel(pa)
+    start = _start(k, source)
     targets = frozenset(targets)
-    bad = targets - states
+    bad = targets - pa.state_set()
     if bad:
         raise UnknownState(f"unknown target states {sorted(bad)}")
-    _require_letters(pa, word)
-    d = dirac(source)
-    for a in word:
-        d = step(pa, d, a)
-    return d.mass(targets)
+    belief, scale = _advance(k.lookup(k.rows, word), start, 1)
+    return _mass(belief, scale, frozenset(k.index[t] for t in targets))
 
 
 def is_simple(pa: ProbAutomaton) -> bool:
@@ -352,6 +604,18 @@ def support_abstraction(pa: ProbAutomaton) -> NumberlessAutomaton:
     return NumberlessAutomaton(pa.states, pa.alphabet, pa.initial, triples, pa.final)
 
 
+def _check_support(s: str, a: str, wanted: frozenset[str], dist: Distribution) -> None:
+    got = dist.support()
+    for t in sorted(wanted - got):
+        raise InconsistentSupport(
+            f"missing: ({s!r}, {a!r}, {t!r}) is in the support but got zero mass"
+        )
+    for t in sorted(got - wanted):
+        raise InconsistentSupport(
+            f"extra: ({s!r}, {a!r}, {t!r}) got mass {dist[t]} outside the support"
+        )
+
+
 def instantiate(
     npa: NumberlessAutomaton, delta_spec: Mapping[tuple[str, str], Distribution]
 ) -> ProbAutomaton:
@@ -371,16 +635,7 @@ def instantiate(
             dist = delta_spec.get((s, a))
             if dist is None:
                 raise InconsistentSupport(f"missing: no distribution for ({s!r}, {a!r})")
-            wanted = frozenset(npa.targets(s, a))
-            got = dist.support()
-            for t in sorted(wanted - got):
-                raise InconsistentSupport(
-                    f"missing: ({s!r}, {a!r}, {t!r}) is in the support but got zero mass"
-                )
-            for t in sorted(got - wanted):
-                raise InconsistentSupport(
-                    f"extra: ({s!r}, {a!r}, {t!r}) got mass {dist[t]} outside the support"
-                )
+            _check_support(s, a, frozenset(npa.targets(s, a)), dist)
     return ProbAutomaton(npa.states, npa.alphabet, npa.initial, delta_spec, npa.final)
 
 
@@ -389,31 +644,31 @@ def monte_carlo_accept(
 ) -> float:
     """Estimate accept_prob by sampling runs. Deterministic for a fixed seed.
 
-    Sampling is exact per step: a uniform integer below the distribution's
-    common denominator decides the branch, so the only approximation is the
-    Monte Carlo error itself.
+    Sampling is exact per step: at a state with several targets, a uniform
+    integer below the lcm of that row's denominators picks the branch from the
+    row's cumulative integer numerators, so the only approximation is the
+    Monte Carlo error itself. The tables come with the compiled form (built
+    on first evaluation and cached on ``pa``); a Dirac row costs one list
+    lookup and draws nothing.
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
-    _require_letters(pa, word)
-    rng = random.Random(seed)
+    k = _kernel(pa)
+    path = k.lookup(k.draws, word)
+    randrange = random.Random(seed).randrange
+    start = k.index[pa.initial]
+    final = k.final
     hits = 0
     for _ in range(samples):
-        state = pa.initial
-        for a in word:
-            dist = pa.delta[(state, a)]
-            items = dist.items()
-            if len(items) == 1:
-                state = items[0][0]
-                continue
-            den = math.lcm(*(p.denominator for _, p in items))
-            r = rng.randrange(den)
-            cum = 0
-            for t, p in items:
-                cum += p.numerator * (den // p.denominator)
-                if r < cum:
-                    state = t
-                    break
-        if state in pa.final:
+        state = start
+        for draw in path:
+            state = draw[state]
+            if state.__class__ is not int:
+                den, table = state
+                r = randrange(den)
+                for state, cum in table:
+                    if r < cum:
+                        break
+        if state in final:
             hits += 1
     return hits / samples

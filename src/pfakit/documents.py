@@ -71,13 +71,29 @@ class AutomatonDocument:
 # --- expression evaluation ---------------------------------------------------
 
 
+# Deepest nesting of parentheses and unary minus signs an expression may use;
+# the parser recurses once per level, so the bound keeps it off Python's stack
+# limit.
+MAX_EXPRESSION_DEPTH = 100
+
+
 class _ExprParser:
     """Arithmetic over rationals and named parameters: + - * / ( ) integers."""
 
     def __init__(self, text: str, bindings: Mapping[str, Fraction]):
         self.text = text
         self.pos = 0
+        self.depth = 0
         self.bindings = bindings
+
+    def nested(self, parse):
+        """Run one level deeper, or fail past MAX_EXPRESSION_DEPTH."""
+        if self.depth == MAX_EXPRESSION_DEPTH:
+            raise self.fail(f"nested deeper than {MAX_EXPRESSION_DEPTH} levels")
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
 
     def fail(self, msg: str) -> ValidationError:
         return ValidationError(f"bad expression {self.text!r} at offset {self.pos}: {msg}")
@@ -111,14 +127,14 @@ class _ExprParser:
     def factor(self) -> Fraction:
         if self.peek() == "-":
             self.pos += 1
-            return -self.factor()
+            return -self.nested(self.factor)
         return self.atom()
 
     def atom(self) -> Fraction:
         ch = self.peek()
         if ch == "(":
             self.pos += 1
-            value = self.expr()
+            value = self.nested(self.expr)
             if self.peek() != ")":
                 raise self.fail("expected ')'")
             self.pos += 1
@@ -262,6 +278,23 @@ def document_to_automaton(
         if bindings is None:
             return npa
 
+    delta = bound_transitions(doc, bindings)
+    if doc.kind == "npa":
+        return instantiate(npa, delta)
+    pa = ProbAutomaton(doc.states, doc.alphabet, doc.initial, delta, frozenset(doc.final))
+    if doc.kind == "pba":
+        return BuchiAutomaton(pa, frozenset(doc.final))
+    return pa
+
+
+def bound_transitions(
+    doc: AutomatonDocument, bindings: Mapping[str, Fraction] | None = None
+) -> dict[tuple[str, str], Distribution]:
+    """The document's transition table with its expressions evaluated.
+
+    Only the distributions are checked here; whether they fit the document's
+    states and support is for the automaton built from them to say.
+    """
     delta: dict[tuple[str, str], Distribution] = {}
     for rec in doc.transitions:
         if not isinstance(rec.to, dict):
@@ -276,13 +309,7 @@ def document_to_automaton(
             t: eval_expression(expr, bindings) for t, expr in rec.to.items()
         }
         delta[pair] = Distribution(entries)
-
-    if doc.kind == "npa":
-        return instantiate(npa, delta)
-    pa = ProbAutomaton(doc.states, doc.alphabet, doc.initial, delta, frozenset(doc.final))
-    if doc.kind == "pba":
-        return BuchiAutomaton(pa, frozenset(doc.final))
-    return pa
+    return delta
 
 
 def parse_automaton(

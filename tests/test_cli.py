@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import sys
 from fractions import Fraction as F
@@ -159,6 +160,26 @@ class TestReports:
         assert len(rows) > 1
         assert any(r[0] == "center" for r in rows[1:])
 
+    def test_sweep_builds_the_automaton_once(self, capsys, seesaw_doc, monkeypatch):
+        import pfakit.cli
+
+        calls = []
+        real = pfakit.cli.document_to_automaton
+        monkeypatch.setattr(
+            pfakit.cli, "document_to_automaton", lambda *a: calls.append(a) or real(*a)
+        )
+        code, out, _ = run(
+            capsys, "sweep", "--automaton", seesaw_doc,
+            "--set", "x=3/4", "--set", "y=1/4",
+            "--eps", "1/16", "--grid", "2", "--max-len", "6",
+        )
+        assert code == 0
+        assert len(calls) == 1
+        # The CSV as it was while the sweep still built the center twice.
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "a5a98967677a1ecf2374b3dc6463a608d81838cc68ad2afd16a41a81035c0fd2"
+        )
+
     def test_case_study_csv(self, capsys):
         code, out, err = run(
             capsys, "case-study", "--x", "3/4", "--y", "1/4",
@@ -273,6 +294,37 @@ class TestErrors:
         )
         assert code == 2
         assert "('L1', 'a', 'C2')" in err
+
+    @pytest.mark.parametrize("expr", ["(" * 5000 + "1/2" + ")" * 5000, "-" * 5000 + "1/2"])
+    def test_deeply_nested_expression(self, capsys, tmp_path, expr):
+        doc = {
+            "kind": "pa", "states": ["q0", "q1"], "alphabet": ["a"], "initial": "q0",
+            "final": ["q1"], "transitions": [
+                {"from": "q0", "letter": "a", "to": {"q0": expr, "q1": "1/2"}},
+                {"from": "q1", "letter": "a", "to": {"q1": "1"}},
+            ],
+        }
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "eval", "--automaton", str(path), "--word", "a")
+        assert code == 2
+        assert "nested deeper" in err
+
+    def test_huge_exponent_in_set(self, capsys, seesaw_doc):
+        code, _, err = run(
+            capsys, "eval", "--automaton", seesaw_doc,
+            "--set", "x=1e-20000", "--set", "y=1/2", "--word", "i",
+        )
+        assert code == 2
+        assert "exponent" in err
+
+    def test_huge_exponent_in_a_rational_flag(self, capsys, tiny_doc):
+        code, _, err = run(
+            capsys, "simulate-instantiate", "--automaton", tiny_doc,
+            "--lambda", "1e-20000", "--theta", "1/2",
+        )
+        assert code == 2
+        assert "exponent" in err
 
     def test_sweep_rejects_pa_document(self, capsys, tiny_doc):
         code, _, err = run(

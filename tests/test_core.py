@@ -54,6 +54,12 @@ class TestRationals:
         with pytest.raises(DomainError):
             parse_rational(bad)
 
+    def test_exponent_is_bounded(self):
+        assert parse_rational("1e-4300") == F(1, 10**4300)
+        for bad in ("1e-20000", "2.5E+4301", "1e" + "9" * 5000):
+            with pytest.raises(DomainError):
+                parse_rational(bad)
+
 
 class TestDistribution:
     def test_entries_sorted_and_zero_free(self):
@@ -92,6 +98,13 @@ class TestDistribution:
 
     def test_int_entries_coerced(self):
         assert Distribution({"a": 1}) == dirac("a")
+
+    @pytest.mark.parametrize(
+        "entries", [{"a": 0.1, "b": 0.9}, {"a": 0.5, "b": 0.5}, {"a": 1.0}, {"a": True}]
+    )
+    def test_float_and_bool_masses_rejected(self, entries):
+        with pytest.raises(NotADistribution, match="not an exact rational"):
+            Distribution(entries)
 
 
 class TestAutomatonValidation:

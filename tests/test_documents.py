@@ -68,6 +68,14 @@ class TestExpressions:
         with pytest.raises(ValidationError, match="offset"):
             eval_expression("1/2 junk")
 
+    @pytest.mark.parametrize("text", ["(" * 5000 + "1" + ")" * 5000, "-" * 5000 + "1"])
+    def test_nesting_is_bounded(self, text):
+        with pytest.raises(ValidationError, match="nested deeper"):
+            eval_expression(text)
+
+    def test_nesting_up_to_the_bound(self):
+        assert eval_expression("(" * 50 + "-" * 50 + "1/2" + ")" * 50) == F(1, 2)
+
 
 class TestParsing:
     def test_bad_json_reports_position(self):

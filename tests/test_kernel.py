@@ -1,0 +1,143 @@
+"""The compiled integer kernel against the plain-dict oracles.
+
+Every exact evaluation in ``pfakit.core`` runs on one compiled integer form;
+these tests compare it with ``tests/oracles.py``, which propagates Fractions
+through ``pa.delta`` and shares no code with it.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import raw_accept, raw_after, raw_reach
+from pfakit import (
+    NEXT_WORD,
+    Distribution,
+    ProbAutomaton,
+    accept_prob,
+    build_simulation,
+    distribution_after,
+    hat,
+    instantiate,
+    instantiate_simulation,
+    monte_carlo_accept,
+    random_simple_pa,
+    reach_prob,
+    seesaw_pa,
+    step,
+    trace_word,
+)
+
+
+def mixed_pa(seed: int, n_states: int, n_letters: int) -> ProbAutomaton:
+    """A random automaton whose rows mix denominators 2, 3, 5 and 7 and whose
+    letters mix Dirac and split rows."""
+    rng = random.Random(seed)
+    states = tuple(f"s{i}" for i in range(n_states))
+    alphabet = tuple("abcd"[:n_letters])
+    delta = {}
+    for s in states:
+        for a in alphabet:
+            k = rng.randrange(1, min(3, n_states) + 1)
+            targets = rng.sample(states, k)
+            den = rng.choice((2, 3, 5, 7))
+            cuts = sorted(rng.sample(range(1, den), k - 1)) if k <= den else None
+            if cuts is None:
+                delta[(s, a)] = Distribution({targets[0]: 1})
+                continue
+            bounds = [0] + cuts + [den]
+            delta[(s, a)] = Distribution(
+                {t: F(hi - lo, den) for t, lo, hi in zip(targets, bounds, bounds[1:])}
+            )
+    final = frozenset(s for s in states if rng.random() < 0.5)
+    return ProbAutomaton(states, alphabet, states[0], delta, final)
+
+
+automata = st.builds(
+    lambda kind, seed, n, k: (random_simple_pa if kind else mixed_pa)(seed, n, k),
+    st.booleans(),
+    st.integers(0, 2**31 - 1),
+    st.integers(1, 5),
+    st.integers(1, 3),
+)
+
+
+@given(automata, st.randoms(use_true_random=False), st.integers(0, 12))
+@settings(max_examples=80, deadline=None)
+def test_evaluation_matches_the_oracles(pa, rng, length):
+    word = [rng.choice(pa.alphabet) for _ in range(length)]
+    assert accept_prob(pa, word) == raw_accept(pa, word)
+    assert dict(distribution_after(pa, word).items()) == raw_after(pa, word)
+    source = rng.choice(pa.states)
+    targets = set(rng.sample(pa.states, rng.randrange(0, len(pa.states) + 1)))
+    assert reach_prob(pa, source, word, targets) == raw_reach(pa, source, word, targets)
+
+
+@given(automata, st.randoms(use_true_random=False), st.integers(0, 8))
+@settings(max_examples=40, deadline=None)
+def test_trace_and_step_match_the_oracle_after_every_prefix(pa, rng, length):
+    word = [rng.choice(pa.alphabet) for _ in range(length)]
+    tr = trace_word(pa, word)
+    d = tr.distributions[0]
+    for i, a in enumerate(word):
+        d = step(pa, d, a)
+        assert d == tr.distributions[i + 1]
+        assert dict(d.items()) == raw_after(pa, word[: i + 1])
+    assert tr.acceptance == raw_accept(pa, word)
+
+
+@pytest.fixture(scope="module")
+def sim_source():
+    a = random_simple_pa(1, 2, 1, 0.8)
+    return a, build_simulation(a)
+
+
+def test_simulation_instances_keep_their_own_coin(sim_source):
+    """Instances of one simulation share its skeleton; each must evaluate as
+    its own table says, before and after later instances are made."""
+    _a, sim = sim_source
+    words = [
+        (hat(u, sim.state_order) + [NEXT_WORD]) * 2
+        for u in (["a", "#", "#"], ["#"], ["a", "#", "#", "a", "#", "#"])
+    ]
+    params = [(F(1, 3), F(1, 2)), (F(2, 3), F(1, 4)), (F(1, 2), F(3, 4))]
+    instances = []
+    for lam, theta in params:
+        c = instantiate_simulation(sim, lam, theta)
+        instances.append(c)
+        for earlier, (lam0, theta0) in zip(instances, params):
+            toss = earlier.delta[(sim.coin, "$")]
+            assert (toss[sim.heads], toss[sim.skip]) == (lam0 * theta0, 1 - theta0)
+            for w in words:
+                assert accept_prob(earlier, w) == raw_accept(earlier, w)
+    # The same numbers through the generic path, which copies a full table.
+    for c, w in zip(instances, words):
+        assert accept_prob(c, w) == accept_prob(instantiate(sim.npa, dict(c.delta)), w)
+    assert len({accept_prob(c, words[0]) for c in instances}) == len(params)
+
+
+# Estimates recorded before evaluation moved to the compiled kernel; the
+# sampler must make the same draws in the same order.
+MC_PINS = [
+    ("seesaw", 0, 0.6125),
+    ("seesaw", 1, 0.606),
+    ("seesaw", 2, 0.592),
+    ("simulation", 0, 0.16),
+    ("simulation", 1, 0.1375),
+    ("simulation", 2, 0.1375),
+]
+
+
+@pytest.mark.parametrize("kind,seed,estimate", MC_PINS)
+def test_monte_carlo_estimates_are_pinned(sim_source, kind, seed, estimate):
+    if kind == "seesaw":
+        pa = seesaw_pa(F(3, 4), F(1, 4))
+        word, samples = "i a a f i a a f i a a f".split(), 2000
+    else:
+        _a, sim = sim_source
+        pa = instantiate_simulation(sim, F(1, 3), F(1, 2))
+        word, samples = (hat(["a", "#", "#"], sim.state_order) + [NEXT_WORD]) * 3, 400
+    assert monte_carlo_accept(pa, word, samples, seed) == estimate
