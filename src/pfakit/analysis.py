@@ -4,7 +4,8 @@
   exploration of belief states (distributions over automaton states), with
   exact deduplication, a sound reachability prune, and an optional beam.
 * :func:`family_eval` evaluates parametric word families such as
-  (i a^n f)^m exactly, switching to integer matrix powers for big exponents.
+  (i a^n f)^m exactly: small exponents letter by letter on the compiled
+  kernel, big ones as integer powers of word matrices built by that kernel.
 * :func:`lasso_prob` computes the probability that an ultimately periodic
   input satisfies the repeated-acceptance condition of a
   :class:`~pfakit.constructions.BuchiAutomaton`.
@@ -23,24 +24,18 @@ from .core import (
     Distribution,
     NumberlessAutomaton,
     ProbAutomaton,
+    Step,
     ZERO,
+    accept_steps,
     dirac,
     distribution_after,
     instantiate,
     step,
+    word_matrix,
 )
 from .constructions import BuchiAutomaton
 from .errors import BudgetExceeded, DomainError, EmptyCycle, UnknownLetter
-from .matrices import (
-    Matrix,
-    identity,
-    letter_matrix,
-    mat_mul,
-    mat_pow,
-    solve_linear,
-    vec_mat,
-    word_matrix,
-)
+from .matrices import Matrix, int_mat_pow, solve_linear
 
 
 @dataclass(frozen=True)
@@ -181,46 +176,23 @@ def family_eval(
 ) -> Fraction:
     """Exact acceptance probability of the template's word.
 
-    Equals accept_prob(pa, expand_template(template, binding)) but goes
-    through integer matrix powers when an exponent is large, so bindings in
-    the thousands stay fast.
+    Equals accept_prob(pa, expand_template(template, binding)). A segment whose
+    exponent is above ``_FOLD_LIMIT`` is read in one step, as the integer power
+    of its word matrix; so is the whole pass when the repeat is. Word matrices
+    come from the compiled kernel, so bindings in the thousands stay fast.
     """
     binding = binding or {}
-    index = {s: i for i, s in enumerate(pa.states)}
     repeat = _resolve(template.repeat, binding)
-    resolved = [(word, _resolve(e, binding)) for word, e in template.segments]
-    lm_cache: dict[str, Matrix] = {}
-
-    def lm(c: str) -> Matrix:
-        if c not in lm_cache:
-            lm_cache[c] = letter_matrix(pa, c)
-        return lm_cache[c]
-
-    def apply_segments(v: list[Fraction]) -> list[Fraction]:
-        for word, e in resolved:
-            if not word or not e:
-                continue
-            if e <= _FOLD_LIMIT:
-                for _ in range(e):
-                    for c in word:
-                        v = vec_mat(v, lm(c))
-            else:
-                v = vec_mat(v, mat_pow(word_matrix(pa, word), e))
-        return v
-
-    v = [ZERO] * len(pa.states)
-    v[index[pa.initial]] = Fraction(1)
+    one_pass: list[Step] = []
+    for word, e in template.segments:
+        e = _resolve(e, binding)
+        if e <= _FOLD_LIMIT:
+            one_pass += list(word) * e
+        elif word and repeat:
+            one_pass.append(int_mat_pow(*word_matrix(pa, word), e))
     if repeat <= _FOLD_LIMIT:
-        for _ in range(repeat):
-            v = apply_segments(v)
-    else:
-        one_pass = identity(len(pa.states))
-        for word, e in resolved:
-            if not word or not e:
-                continue
-            one_pass = mat_mul(one_pass, mat_pow(word_matrix(pa, word), e))
-        v = vec_mat(v, mat_pow(one_pass, repeat))
-    return sum((v[index[s]] for s in pa.final), ZERO)
+        return accept_steps(pa, one_pass * repeat)
+    return accept_steps(pa, [int_mat_pow(*word_matrix(pa, one_pass), repeat)])
 
 
 @dataclass(frozen=True)
@@ -336,8 +308,6 @@ def lasso_prob(buchi: BuchiAutomaton, lasso: LassoWord) -> Fraction:
         for w in succ[v]:
             if comp_of[w] != comp_of[v]:
                 bottom[comp_of[v]] = False
-    # A node with no successors (unreachable in a stochastic chain, but be
-    # safe) is not a real bottom component.
     absorbed = [ZERO] * m
     accepting_comp = [
         bottom[k] and any(v & 1 for v in comp) for k, comp in enumerate(comps)
@@ -387,6 +357,10 @@ class SweepPoint:
     value: Fraction
 
 
+# Most grid points one sweep may enumerate; checked before any point is built.
+MAX_SWEEP_POINTS = 10_000
+
+
 def _offset_grid(eps: Fraction, grid: int) -> list[Fraction]:
     if grid == 1:
         return [ZERO]
@@ -409,7 +383,9 @@ def noisy_sweep(
     negated sum. Combinations that would leave the eps-ball in sup norm or
     drive some probability to zero or below are dropped, every surviving
     combination is instantiated exactly, and :func:`value_lower_bound` runs
-    with the given budget. Points come back in grid order.
+    with the given budget. Points come back in grid order. A grid of more
+    than ``MAX_SWEEP_POINTS`` combinations raises :class:`BudgetExceeded`
+    before any of them is built.
     """
     eps = Fraction(eps)
     if eps < 0:
@@ -419,7 +395,6 @@ def noisy_sweep(
     if budget is None:
         budget = SearchBudget(max_word_length=8)
     instantiate(npa, center)  # fail fast on an inconsistent center
-    steps = _offset_grid(eps, grid)
 
     order = {s: i for i, s in enumerate(npa.states)}
     letter_order = {c: i for i, c in enumerate(npa.alphabet)}
@@ -433,6 +408,12 @@ def noisy_sweep(
         targets = [t for t, _p in center[(s, c)].items()]
         for t in targets[:-1]:
             axes.append((s, c, t))
+    points = grid ** len(axes)
+    if points > MAX_SWEEP_POINTS:
+        raise BudgetExceeded(
+            f"{grid}^{len(axes)} = {points} grid points, more than {MAX_SWEEP_POINTS}"
+        )
+    steps = _offset_grid(eps, grid) if axes else []  # no axes: one point, the center
 
     out: list[SweepPoint] = []
     for combo in itertools.product(steps, repeat=len(axes)):

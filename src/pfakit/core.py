@@ -25,6 +25,12 @@ one of its non-Dirac rows, so deterministic moves never multiply. One loop,
 ``Fraction`` results are built only where they are returned, so they are the
 same canonical fractions a Fraction-by-Fraction evaluation gives.
 
+Word matrices come from the same loop: :func:`word_matrix` pushes every basis
+state through a word's compiled rows and returns the rows as integers over one
+denominator. Such a matrix (or a power of it) can stand in for its word as a
+single step of :func:`word_matrix` and :func:`accept_steps`, which is how long
+parametric words are evaluated without reading every letter.
+
 A :class:`Skeleton` holds the single-target pairs of a support automaton as
 such integer rows. Automata instantiated on it share the rows and carry only
 their few multi-target distributions; their ``delta`` is a read-only view.
@@ -48,6 +54,11 @@ from .errors import (
     UnknownState,
     ValidationError,
 )
+
+IntMatrix = list[list[int]]
+# One step of a run: a letter, or an integer matrix (ints, den) whose row i is
+# the distribution ints[i] / den from state i.
+Step = str | tuple[IntMatrix, int]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -474,6 +485,24 @@ class _Kernel:
                 f"letter {exc.args[0]!r} not in alphabet {list(self.alphabet)}"
             ) from None
 
+    def compile_steps(self, steps: Iterable[Step]) -> list:
+        """The compiled rows of each step, in order: a letter's rows, or an
+        integer matrix as one step over its ``den`` whose every row is split."""
+        out = []
+        n = len(self.states)
+        for item in steps:
+            if isinstance(item, str):
+                out += self.lookup(self.rows, (item,))
+                continue
+            ints, den = item
+            if den < 1 or len(ints) != n or any(
+                len(r) != n or min(r) < 0 or sum(r) != den for r in ints
+            ):
+                raise ValidationError(f"a step is not a stochastic {n}x{n} integer matrix")
+            row = [tuple((j, q) for j, q in enumerate(r) if q) for r in ints]
+            out.append((den, row, frozenset(range(n))))
+        return out
+
     def distribution(self, belief: dict[int, int], scale: int) -> Distribution:
         states = self.states
         return Distribution._exact(
@@ -575,23 +604,50 @@ def reach_prob(
     return _mass(belief, scale, frozenset(k.index[t] for t in targets))
 
 
+def word_matrix(pa: ProbAutomaton, steps: Sequence[Step]) -> tuple[IntMatrix, int]:
+    """The matrix of reading ``steps`` from every state, as ``(ints, den)``.
+
+    Row i is the distribution after ``steps`` from ``pa.states[i]``, as
+    ``ints[i] / den``; ``ints`` and ``den`` share no common factor. A step is
+    a letter or such an integer matrix (a power of an earlier result, say),
+    applied in one step. Every basis state is pushed through the compiled
+    rows, and the rows are brought to one denominator, then reduced.
+    """
+    k = _kernel(pa)
+    rows = k.compile_steps(steps)
+    n = len(pa.states)
+    pushed = [_advance(rows, {i: 1}, 1) for i in range(n)]
+    den = math.lcm(*(scale for _, scale in pushed))
+    ints = [[0] * n for _ in range(n)]
+    for out, (belief, scale) in zip(ints, pushed):
+        for j, m in belief.items():
+            out[j] = m * (den // scale)
+    g = math.gcd(den, *(x for out in ints for x in out))
+    return [[x // g for x in out] for out in ints], den // g
+
+
+def accept_steps(pa: ProbAutomaton, steps: Sequence[Step]) -> Fraction:
+    """Exact acceptance after reading ``steps`` (letters or integer matrices,
+    as in :func:`word_matrix`) from the initial state."""
+    k = _kernel(pa)
+    belief, scale = _advance(k.compile_steps(steps), _start(k, pa.initial), 1)
+    return _mass(belief, scale, k.final)
+
+
+def _is_simple_row(dist: Distribution) -> bool:
+    return sorted(p for _, p in dist.items()) in ([ONE], [HALF, HALF])
+
+
 def is_simple(pa: ProbAutomaton) -> bool:
     """True iff every transition probability lies in {0, 1/2, 1}."""
-    for dist in pa.delta.values():
-        items = dist.items()
-        if len(items) == 1 and items[0][1] == ONE:
-            continue
-        if len(items) == 2 and items[0][1] == HALF and items[1][1] == HALF:
-            continue
-        return False
-    return True
+    return all(_is_simple_row(dist) for dist in pa.delta.values())
 
 
 def require_simple(pa: ProbAutomaton) -> ProbAutomaton:
     """Return ``pa`` unchanged, or raise NotSimple naming an offending pair."""
     for (s, a), dist in sorted(pa.delta.items()):
-        probs = sorted(p for _, p in dist.items())
-        if probs not in ([ONE], [HALF, HALF]):
+        if not _is_simple_row(dist):
+            probs = sorted(p for _, p in dist.items())
             raise NotSimple(f"({s!r}, {a!r}) has probabilities {probs}, not in {{1/2, 1}}")
     return pa
 

@@ -47,7 +47,7 @@ class AlphabetClash(AutomatonError):
 
 
 class BudgetExceeded(AutomatonError):
-    """A search exceeded its distribution-state budget."""
+    """A search exceeded its distribution-state budget, or a sweep its grid-point bound."""
 
 
 class EmptyCycle(AutomatonError):

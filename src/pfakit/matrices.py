@@ -1,71 +1,20 @@
-"""Exact matrix routines over Fraction.
+"""Exact matrix routines.
 
-Matrices are lists of row lists, indexed by state declaration order. Powers
-go through a common-denominator integer representation so that repeated
-squaring multiplies integers, not Fractions; gcd normalization happens once
-at the end.
+Word matrices are integer matrices over one common denominator, ``(ints,
+den)``, indexed by state declaration order; :func:`pfakit.core.word_matrix`
+builds them from the compiled kernel. Products and powers multiply integers,
+never Fractions. :func:`solve_linear` is the one routine over Fraction.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
 
-from .core import ProbAutomaton, ZERO, ONE
+from .core import IntMatrix
 from .errors import DomainError
 
 Matrix = list[list[Fraction]]
-IntMatrix = list[list[int]]
-
-
-def identity(n: int) -> Matrix:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def letter_matrix(pa: ProbAutomaton, letter: str) -> Matrix:
-    """Row i = one-step distribution from state i on the letter."""
-    index = {s: i for i, s in enumerate(pa.states)}
-    n = len(pa.states)
-    out = [[ZERO] * n for _ in range(n)]
-    for i, s in enumerate(pa.states):
-        for t, p in pa.delta[(s, letter)].items():
-            out[i][index[t]] = p
-    return out
-
-
-def word_matrix(pa: ProbAutomaton, word: Sequence[str]) -> Matrix:
-    """Row i = distribution after reading the word from state i."""
-    cache: dict[str, Matrix] = {}
-    out = identity(len(pa.states))
-    for c in word:
-        if c not in cache:
-            cache[c] = letter_matrix(pa, c)
-        out = mat_mul(out, cache[c])
-    return out
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
-
-
-def vec_mat(v: Sequence[Fraction], m: Matrix) -> list[Fraction]:
-    return [sum(x * y for x, y in zip(v, col)) for col in zip(*m)]
-
-
-def to_int_matrix(m: Matrix) -> tuple[IntMatrix, int]:
-    """Common-denominator representation m == ints / den."""
-    den = 1
-    for row in m:
-        for x in row:
-            den = math.lcm(den, x.denominator)
-    ints = [[int(x * den) for x in row] for row in m]
-    return ints, den
-
-
-def from_int_matrix(ints: IntMatrix, den: int) -> Matrix:
-    return [[Fraction(x, den) for x in row] for row in ints]
 
 
 def int_mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -73,14 +22,13 @@ def int_mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
-def mat_pow(m: Matrix, e: int) -> Matrix:
-    """Exact e-th power by integer repeated squaring."""
+def int_mat_pow(ints: IntMatrix, den: int, e: int) -> tuple[IntMatrix, int]:
+    """``(ints / den) ** e`` as ``(integers, denominator)``, by repeated squaring."""
     if e < 0:
         raise DomainError(f"exponent must be >= 0, got {e}")
-    n = len(m)
+    n = len(ints)
     if e == 0:
-        return identity(n)
-    ints, den = to_int_matrix(m)
+        return [[int(i == j) for j in range(n)] for i in range(n)], 1
     acc: IntMatrix | None = None
     acc_den = 1
     while True:
@@ -93,7 +41,7 @@ def mat_pow(m: Matrix, e: int) -> Matrix:
         ints = int_mat_mul(ints, ints)
         den *= den
     assert acc is not None
-    return from_int_matrix(acc, acc_den)
+    return acc, acc_den
 
 
 def solve_linear(a: Matrix, b: Sequence[Fraction]) -> list[Fraction]:

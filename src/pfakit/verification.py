@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Distribution, ProbAutomaton, accept_prob, dirac, reach_prob
+from .core import Distribution, ProbAutomaton, accept_prob, dirac, reach_prob, word_matrix
 from .constructions import (
     DOLLAR,
     NEXT_TRANSITION,
@@ -34,7 +34,7 @@ from .constructions import (
 )
 from .analysis import SearchBudget, value_lower_bound
 from .errors import DomainError, PreconditionFailed
-from .matrices import int_mat_mul, to_int_matrix, word_matrix
+from .matrices import int_mat_mul
 from .seesaw import seesaw_pa
 
 EQUAL = "=="
@@ -355,8 +355,9 @@ def seesaw_case_study(
     """Acceptance of (i a^n f)^m over n in 0..n_max, m in powers of two up
     to m_max; ``exceeds`` flags rows beyond 1 - eps.
 
-    One squaring chain per n: the matrix of i a^n f is squared repeatedly in
-    integer form, so the m axis costs one multiplication per row.
+    One squaring chain per n: the integer matrix of i a^n f, built by the
+    compiled kernel, is squared repeatedly, so the m axis costs one
+    multiplication per row.
     """
     x, y, eps = Fraction(x), Fraction(y), Fraction(eps)
     if n_max < 0 or m_max < 1:
@@ -373,8 +374,7 @@ def seesaw_case_study(
     rows: list[CaseStudyRow] = []
     for n in range(n_max + 1):
         word = ["i"] + ["a"] * n + ["f"]
-        ints, den = to_int_matrix(word_matrix(pa, word))
-        power, power_den = ints, den
+        power, power_den = word_matrix(pa, word)
         last_m = 1
         for m in ms:
             while last_m < m:

@@ -12,11 +12,13 @@ from pfakit import (
     EmptyCycle,
     FamilyTemplate,
     LassoWord,
+    ProbAutomaton,
     SearchBudget,
     SweepPoint,
     UnknownLetter,
     accept_prob,
     buchi_reduction,
+    dirac,
     expand_template,
     family_eval,
     instantiate,
@@ -27,6 +29,7 @@ from pfakit import (
     seesaw_npa,
     seesaw_pa,
     states_reaching,
+    support_abstraction,
     value_lower_bound,
 )
 
@@ -247,6 +250,24 @@ class TestNoisySweep:
         del center[("C1", "i")]
         with pytest.raises(InconsistentSupport):
             noisy_sweep(seesaw_support, center, F(1, 16), 1)
+
+    def test_grid_beyond_the_point_bound_rejected_before_any_work(
+        self, seesaw_support, monkeypatch
+    ):
+        import pfakit.analysis
+
+        monkeypatch.setattr(pfakit.analysis, "value_lower_bound", None)
+        center = seesaw_delta(F(1, 2), F(1, 2))
+        # Three free axes: 22^3 = 10648 and 100000^3 points.
+        for grid in (22, 100_000):
+            with pytest.raises(BudgetExceeded, match="grid points"):
+                noisy_sweep(seesaw_support, center, F(1, 16), grid)
+
+    def test_no_free_axes_is_the_center_at_any_grid(self):
+        delta = {("p", "a"): dirac("q"), ("q", "a"): dirac("q")}
+        pa = ProbAutomaton(("p", "q"), ("a",), "p", delta, {"q"})
+        points = noisy_sweep(support_abstraction(pa), delta, F(1, 16), 10**9)
+        assert [(pt.offsets, pt.word, pt.value) for pt in points] == [((), ("a",), 1)]
 
     def test_bad_grid_rejected(self, seesaw_support):
         center = seesaw_delta(F(1, 2), F(1, 2))

@@ -326,6 +326,15 @@ class TestErrors:
         assert code == 2
         assert "exponent" in err
 
+    def test_sweep_grid_beyond_the_point_bound(self, capsys, seesaw_doc):
+        code, out, err = run(
+            capsys, "sweep", "--automaton", seesaw_doc,
+            "--set", "x=1/2", "--set", "y=1/2", "--eps", "1/16", "--grid", "100000",
+        )
+        assert code == 2
+        assert out == ""
+        assert "grid points" in err
+
     def test_sweep_rejects_pa_document(self, capsys, tiny_doc):
         code, _, err = run(
             capsys, "sweep", "--automaton", tiny_doc, "--eps", "1/16", "--grid", "2",

@@ -9,17 +9,20 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import raw_accept, raw_after, raw_reach
 from pfakit import (
     NEXT_WORD,
     Distribution,
+    FamilyTemplate,
     ProbAutomaton,
     accept_prob,
     build_simulation,
     distribution_after,
+    expand_template,
+    family_eval,
     hat,
     instantiate,
     instantiate_simulation,
@@ -56,16 +59,17 @@ def mixed_pa(seed: int, n_states: int, n_letters: int) -> ProbAutomaton:
     return ProbAutomaton(states, alphabet, states[0], delta, final)
 
 
-automata = st.builds(
-    lambda kind, seed, n, k: (random_simple_pa if kind else mixed_pa)(seed, n, k),
-    st.booleans(),
-    st.integers(0, 2**31 - 1),
-    st.integers(1, 5),
-    st.integers(1, 3),
-)
+def automata(max_states: int = 5):
+    return st.builds(
+        lambda kind, seed, n, k: (random_simple_pa if kind else mixed_pa)(seed, n, k),
+        st.booleans(),
+        st.integers(0, 2**31 - 1),
+        st.integers(1, max_states),
+        st.integers(1, 3),
+    )
 
 
-@given(automata, st.randoms(use_true_random=False), st.integers(0, 12))
+@given(automata(), st.randoms(use_true_random=False), st.integers(0, 12))
 @settings(max_examples=80, deadline=None)
 def test_evaluation_matches_the_oracles(pa, rng, length):
     word = [rng.choice(pa.alphabet) for _ in range(length)]
@@ -76,7 +80,7 @@ def test_evaluation_matches_the_oracles(pa, rng, length):
     assert reach_prob(pa, source, word, targets) == raw_reach(pa, source, word, targets)
 
 
-@given(automata, st.randoms(use_true_random=False), st.integers(0, 8))
+@given(automata(), st.randoms(use_true_random=False), st.integers(0, 8))
 @settings(max_examples=40, deadline=None)
 def test_trace_and_step_match_the_oracle_after_every_prefix(pa, rng, length):
     word = [rng.choice(pa.alphabet) for _ in range(length)]
@@ -87,6 +91,38 @@ def test_trace_and_step_match_the_oracle_after_every_prefix(pa, rng, length):
         assert d == tr.distributions[i + 1]
         assert dict(d.items()) == raw_after(pa, word[: i + 1])
     assert tr.acceptance == raw_accept(pa, word)
+
+
+# Exponents on both sides of family_eval's fold limit (64), so that segments
+# and whole passes run letter by letter and as integer matrix powers.
+EXPONENTS = st.sampled_from((0, 1, 2, 64, 65, 130))
+
+
+@st.composite
+def families(draw):
+    pa = draw(automata(max_states=4))
+    words = st.lists(st.sampled_from(pa.alphabet), min_size=1, max_size=2).map(tuple)
+    segments = draw(st.lists(st.tuples(words, EXPONENTS), min_size=1, max_size=3))
+    return pa, FamilyTemplate(tuple(segments), repeat=draw(EXPONENTS))
+
+
+@given(families())
+@settings(max_examples=60, deadline=None)
+def test_family_eval_matches_the_oracle(family):
+    pa, template = family
+    word = expand_template(template)
+    # The oracle's Fractions grow with the word; longer words take seconds each.
+    assume(len(word) <= 600)
+    assert family_eval(pa, template) == raw_accept(pa, word)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_family_eval_powers_a_pass_that_holds_a_power(seed):
+    """A segment power inside a repeat power: too long a word for the
+    hypothesis test's oracle budget on denominators 3, 5 and 7."""
+    pa = random_simple_pa(seed, 4, 2)
+    template = FamilyTemplate(((("a",), 65), (("b", "a"), 1)), repeat=65)
+    assert family_eval(pa, template) == raw_accept(pa, expand_template(template))
 
 
 @pytest.fixture(scope="module")

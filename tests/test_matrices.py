@@ -1,83 +1,127 @@
+import dataclasses
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from oracles import raw_after
-from pfakit import DomainError, dirac, random_simple_pa
-from pfakit.matrices import (
-    from_int_matrix,
-    identity,
-    int_mat_mul,
-    letter_matrix,
-    mat_mul,
-    mat_pow,
-    solve_linear,
-    to_int_matrix,
-    vec_mat,
-    word_matrix,
+from pfakit import (
+    DomainError,
+    Distribution,
+    ProbAutomaton,
+    UnknownLetter,
+    ValidationError,
+    accept_prob,
+    dirac,
 )
+from pfakit.core import accept_steps, word_matrix
+from pfakit.matrices import int_mat_mul, int_mat_pow, solve_linear
+
+
+def fractions(ints, den):
+    return [[F(x, den) for x in row] for row in ints]
+
+
+def letter_table(pa, letter):
+    """The letter's transition table as Fractions, read straight off delta."""
+    return [[pa.delta[(s, letter)][t] for t in pa.states] for s in pa.states]
 
 
 class TestWordMatrix:
     def test_empty_word_is_identity(self, seesaw_fast):
-        assert word_matrix(seesaw_fast, []) == identity(len(seesaw_fast.states))
+        n = len(seesaw_fast.states)
+        assert word_matrix(seesaw_fast, []) == (
+            [[int(i == j) for j in range(n)] for i in range(n)],
+            1,
+        )
 
     def test_matches_propagation(self, seesaw_fast):
         rng = random.Random(6)
-        idx = {s: i for i, s in enumerate(seesaw_fast.states)}
+        states = seesaw_fast.states
         for _ in range(25):
             word = [rng.choice(seesaw_fast.alphabet) for _ in range(rng.randrange(0, 7))]
-            m = word_matrix(seesaw_fast, word)
-            init = [F(0)] * len(seesaw_fast.states)
-            init[idx[seesaw_fast.initial]] = F(1)
-            got = vec_mat(init, m)
-            want = raw_after(seesaw_fast, word)
-            for s, i in idx.items():
-                assert got[i] == want.get(s, F(0))
+            ints, den = word_matrix(seesaw_fast, word)
+            for i, s in enumerate(states):
+                want = raw_after(dataclasses.replace(seesaw_fast, initial=s), word)
+                assert [F(x, den) for x in ints[i]] == [want.get(t, F(0)) for t in states]
 
     def test_rows_are_stochastic(self, seesaw_fast):
-        m = word_matrix(seesaw_fast, ["i", "a", "f"])
-        for row in m:
-            assert sum(row) == 1
+        for word in (["i", "a", "f"], ["a"] * 5, ["f", "i", "i"]):
+            ints, den = word_matrix(seesaw_fast, word)
+            for row in ints:
+                assert sum(row) == den
 
     def test_mat_mul_associates_with_concatenation(self, seesaw_fast):
         u, v = ["i", "a"], ["a", "f"]
-        assert mat_mul(
-            word_matrix(seesaw_fast, u), word_matrix(seesaw_fast, v)
-        ) == word_matrix(seesaw_fast, u + v)
+        (mu, du), (mv, dv) = word_matrix(seesaw_fast, u), word_matrix(seesaw_fast, v)
+        assert fractions(int_mat_mul(mu, mv), du * dv) == fractions(
+            *word_matrix(seesaw_fast, u + v)
+        )
+
+    def test_matrix_steps_stand_for_their_words(self, seesaw_fast):
+        u, v = ["i", "a", "a"], ["f", "i"]
+        mu = word_matrix(seesaw_fast, u)
+        assert word_matrix(seesaw_fast, [mu] + v) == word_matrix(seesaw_fast, u + v)
+        assert accept_steps(seesaw_fast, v + [mu]) == accept_prob(seesaw_fast, v + u)
+
+    def test_bad_steps_rejected(self, seesaw_fast, tiny_pa):
+        with pytest.raises(UnknownLetter):
+            word_matrix(seesaw_fast, ["z"])
+        wrong_shape, wrong_sum = ([[1]], 1), ([[1, 0], [1, 1]], 1)
+        negative, zero_den = ([[2, -1], [0, 1]], 1), ([[0, 0], [0, 0]], 0)
+        for bad in (wrong_shape, wrong_sum, negative, zero_den):
+            with pytest.raises(ValidationError):
+                accept_steps(tiny_pa, [bad])
 
 
 class TestIntegerForm:
     def test_round_trip(self, seesaw_fast):
-        m = letter_matrix(seesaw_fast, "a")
-        ints, den = to_int_matrix(m)
-        assert from_int_matrix(ints, den) == m
+        ints, den = word_matrix(seesaw_fast, ["a"])
+        table = letter_table(seesaw_fast, "a")
+        assert fractions(ints, den) == table
         assert all(isinstance(v, int) for row in ints for v in row)
+        # The smallest common denominator: no larger integers than needed.
+        assert den == math.lcm(*(p.denominator for row in table for p in row))
+        assert math.gcd(den, *(v for row in ints for v in row)) == 1
+
+    def test_merged_splits_leave_no_common_factor(self):
+        # s splits over p and q, which both move to r: "b b" is Dirac on r.
+        delta = {
+            ("s", "b"): Distribution({"p": F(1, 2), "q": F(1, 2)}),
+            ("p", "b"): dirac("r"),
+            ("q", "b"): dirac("r"),
+            ("r", "b"): dirac("r"),
+        }
+        pa = ProbAutomaton(("s", "p", "q", "r"), ("b",), "s", delta, {"r"})
+        assert word_matrix(pa, ["b", "b"]) == ([[0, 0, 0, 1]] * 4, 1)
 
     def test_int_mul_matches_fraction_mul(self, seesaw_fast):
-        m = letter_matrix(seesaw_fast, "a")
-        ints, den = to_int_matrix(m)
-        assert from_int_matrix(int_mat_mul(ints, ints), den * den) == mat_mul(m, m)
+        m = letter_table(seesaw_fast, "a")
+        ints, den = word_matrix(seesaw_fast, ["a"])
+        want = [[sum(x * y for x, y in zip(row, col)) for col in zip(*m)] for row in m]
+        assert fractions(int_mat_mul(ints, ints), den * den) == want
 
 
 class TestMatPow:
     def test_matches_repeated_multiplication(self, seesaw_fast):
-        m = letter_matrix(seesaw_fast, "a")
-        acc = identity(len(m))
+        ints, den = word_matrix(seesaw_fast, ["a"])
+        acc, acc_den = word_matrix(seesaw_fast, [])
         for e in range(6):
-            assert mat_pow(m, e) == acc
-            acc = mat_mul(acc, m)
+            assert fractions(*int_mat_pow(ints, den, e)) == fractions(acc, acc_den)
+            assert fractions(*int_mat_pow(ints, den, e)) == fractions(
+                *word_matrix(seesaw_fast, ["a"] * e)
+            )
+            acc, acc_den = int_mat_mul(acc, ints), acc_den * den
 
     def test_large_exponent(self, tiny_pa):
-        m = letter_matrix(tiny_pa, "a")
-        p = mat_pow(m, 200)
+        p, den = int_mat_pow(*word_matrix(tiny_pa, ["a"]), 200)
         # q0 -> q1 mass after 200 letters is 1 - 2^-200
-        assert p[0][1] == 1 - F(1, 2**200)
+        assert F(p[0][1], den) == 1 - F(1, 2**200)
 
     def test_negative_exponent_rejected(self, tiny_pa):
         with pytest.raises(DomainError):
-            mat_pow(letter_matrix(tiny_pa, "a"), -1)
+            int_mat_pow(*word_matrix(tiny_pa, ["a"]), -1)
 
 
 class TestSolveLinear:
