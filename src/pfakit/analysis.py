@@ -11,11 +11,16 @@
   :class:`~pfakit.constructions.BuchiAutomaton`.
 * :func:`noisy_sweep` re-runs the word search across a grid of perturbed
   instantiations of a support automaton.
+
+All of them run on the compiled kernel of :mod:`pfakit.core`: beliefs are
+its integer ``(belief, scale)`` pairs, pushed through integer rows by
+``_advance``, and a ``Fraction`` is built only where a result is returned.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -24,18 +29,19 @@ from .core import (
     Distribution,
     NumberlessAutomaton,
     ProbAutomaton,
+    Skeleton,
     Step,
     ZERO,
+    _advance,
+    _kernel,
+    _start,
     accept_steps,
-    dirac,
-    distribution_after,
     instantiate,
-    step,
     word_matrix,
 )
 from .constructions import BuchiAutomaton
-from .errors import BudgetExceeded, DomainError, EmptyCycle, UnknownLetter
-from .matrices import Matrix, int_mat_pow, solve_linear
+from .errors import BudgetExceeded, DomainError, EmptyCycle
+from .matrices import int_mat_pow, solve_sparse
 
 
 @dataclass(frozen=True)
@@ -52,12 +58,9 @@ class SearchBudget:
     max_distribution_states: int = 0
 
     def __post_init__(self):
-        if self.max_word_length < 0:
-            raise DomainError("max_word_length must be >= 0")
-        if self.beam_width < 0:
-            raise DomainError("beam_width must be >= 0")
-        if self.max_distribution_states < 0:
-            raise DomainError("max_distribution_states must be >= 0")
+        for name in ("max_word_length", "beam_width", "max_distribution_states"):
+            if getattr(self, name) < 0:
+                raise DomainError(f"{name} must be >= 0")
 
 
 def states_reaching(pa: ProbAutomaton, targets: Iterable[str]) -> frozenset[str]:
@@ -90,40 +93,51 @@ def value_lower_bound(
     (ranked by current acceptance plus reachable mass, ties kept in
     exploration order). The result is exact but, under a beam, possibly not
     the optimum over words of the given length.
+
+    Beliefs are gcd-reduced integer ``(belief, scale)`` pairs, so equal ones
+    share a key. A :class:`BudgetExceeded` error keeps the incumbent.
     """
-    live = states_reaching(pa, pa.final)
-    start = dirac(pa.initial)
+    k = _kernel(pa)
+    letters = list(zip(pa.alphabet, k.lookup(k.rows, pa.alphabet)))
+    live = frozenset(k.index[s] for s in states_reaching(pa, pa.final))
+    start = {k.index[pa.initial]: 1}
     best_word: tuple[str, ...] = ()
-    best = start.mass(pa.final)
-    seen: set[Distribution] = {start}
-    frontier: list[tuple[Distribution, tuple[str, ...]]] = [(start, ())]
+    best, best_scale = int(pa.initial in pa.final), 1
+    seen = {(1, tuple(start.items()))}
+    # (score numerator, scale, belief, word); the score is acceptance plus live mass.
+    frontier: list[tuple[int, int, dict[int, int], tuple[str, ...]]] = [(0, 1, start, ())]
     for _depth in range(budget.max_word_length):
         if not frontier:
             break
-        scored: list[tuple[Fraction, Distribution, tuple[str, ...]]] = []
-        for belief, word in frontier:
-            for c in pa.alphabet:
-                after = step(pa, belief, c)
-                if after in seen:
+        scored: list[tuple[int, int, dict[int, int], tuple[str, ...]]] = []
+        for _score, scale, belief, word in frontier:
+            for c, rows in letters:
+                after, sc = _advance((rows,), belief, scale)
+                g = math.gcd(sc, *after.values())
+                after, sc = {i: m // g for i, m in after.items()}, sc // g
+                key = (sc, tuple(sorted(after.items())))
+                if key in seen:
                     continue
-                seen.add(after)
+                seen.add(key)
                 if budget.max_distribution_states and len(seen) > budget.max_distribution_states:
                     raise BudgetExceeded(
-                        f"more than {budget.max_distribution_states} distinct beliefs"
+                        f"more than {budget.max_distribution_states} distinct beliefs",
+                        word=best_word,
+                        value=Fraction(best, best_scale),
                     )
-                acc = after.mass(pa.final)
-                potential = after.mass(live)
-                if potential <= best:
+                acc = sum(m for i, m in after.items() if i in k.final)
+                potential = sum(m for i, m in after.items() if i in live)
+                if potential * best_scale <= best * sc:
                     continue
-                if acc > best:
-                    best = acc
+                if acc * best_scale > best * sc:
+                    best, best_scale = acc, sc
                     best_word = word + (c,)
-                scored.append((acc + potential, after, word + (c,)))
+                scored.append((acc + potential, sc, after, word + (c,)))
         if budget.beam_width and len(scored) > budget.beam_width:
-            scored.sort(key=lambda item: item[0], reverse=True)
+            scored.sort(key=lambda item: Fraction(item[0], item[1]), reverse=True)
             del scored[budget.beam_width :]
-        frontier = [(belief, word) for _score, belief, word in scored]
-    return best_word, best
+        frontier = scored
+    return best_word, Fraction(best, best_scale)
 
 
 @dataclass(frozen=True)
@@ -256,100 +270,82 @@ def _sccs(n: int, succ: Sequence[Sequence[int]]) -> list[list[int]]:
     return out
 
 
+def _flagged_rows(rows: tuple, n: int, accepting: frozenset[int]) -> tuple:
+    """A letter's compiled rows over ``2 n`` nodes: node ``i`` is state ``i``
+    before any accepting state was visited in this cycle traversal, node
+    ``i + n`` the same state after one was. A move into an accepting state
+    lands on its flagged copy; a flagged node stays flagged."""
+    den, row, split = rows
+    lifts = ([t + n if t in accepting else t for t in range(n)], [t + n for t in range(n)])
+    flagged = [
+        lift[e] if e.__class__ is int else tuple((lift[t], q) for t, q in e)
+        for lift in lifts
+        for e in row
+    ]
+    return den, flagged, split | {i + n for i in split}
+
+
 def lasso_prob(buchi: BuchiAutomaton, lasso: LassoWord) -> Fraction:
     """Probability that the infinite run visits accepting states forever.
 
     The run reads stem then cycle^omega. Per cycle traversal we track the end
-    state and whether an accepting state was visited along the way, giving a
-    finite Markov chain over (state, flag) pairs; the answer is the exact
-    probability of absorption into a bottom component containing a flagged
-    pair, by Gaussian elimination on the transient part.
+    state and whether an accepting state was visited along the way: a Markov
+    chain over (state, flag) nodes, explored from the distribution after the
+    stem. The answer is the probability of absorption into a bottom component
+    holding a flagged node, solved over the transient nodes as sparse integer
+    rows (:func:`~pfakit.matrices.solve_sparse`).
     """
     pa = buchi.automaton
-    letters = pa.letter_set()
-    for c in lasso.stem + lasso.cycle:
-        if c not in letters:
-            raise UnknownLetter(f"letter {c!r} not in the alphabet")
-    states = pa.states
-    index = {s: i for i, s in enumerate(states)}
-    n = len(states)
-    accepting = buchi.accepting
+    k = _kernel(pa)
+    after_stem, stem_scale = _advance(k.lookup(k.rows, lasso.stem), _start(k, pa.initial), 1)
+    n = len(pa.states)
+    accepting = frozenset(k.index[s] for s in buchi.accepting)
+    cycle = [_flagged_rows(rows, n, accepting) for rows in k.lookup(k.rows, lasso.cycle)]
 
-    # One cycle from state s: distribution over (end state, visited-flag).
-    rows: list[dict[tuple[int, int], Fraction]] = []
-    for s in states:
-        cur: dict[tuple[str, bool], Fraction] = {(s, False): Fraction(1)}
-        for c in lasso.cycle:
-            nxt: dict[tuple[str, bool], Fraction] = {}
-            for (r, flag), p in cur.items():
-                for t, q in pa.delta[(r, c)].items():
-                    key = (t, flag or t in accepting)
-                    nxt[key] = nxt.get(key, ZERO) + p * q
-            cur = nxt
-        rows.append(
-            {(index[t], int(flag)): p for (t, flag), p in cur.items() if p}
-        )
+    # out_of[s] is one cycle traversal from state s. A node with no successors
+    # is unexplored (every row has mass); unreached ones are never solved for.
+    out_of: dict[int, tuple[dict[int, int], int]] = {}
+    succ: list[list[int]] = [[] for _ in range(2 * n)]
+    todo = list(after_stem)
+    while todo:
+        v = todo.pop()
+        if v % n not in out_of:
+            out_of[v % n] = _advance(cycle, {v % n: 1}, 1)
+        succ[v] = list(out_of[v % n][0])
+        todo += [w for w in succ[v] if not succ[w]]
 
-    # Pair-chain nodes 2*i + flag; flag does not affect outgoing moves.
-    m = 2 * n
-    succ: list[list[int]] = [[] for _ in range(m)]
-    for i in range(n):
-        targets = sorted(2 * j + f for (j, f) in rows[i])
-        succ[2 * i] = targets
-        succ[2 * i + 1] = targets
-
-    comps = _sccs(m, succ)
-    comp_of = [0] * m
-    for k, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = k
-    bottom = [True] * len(comps)
-    for v in range(m):
-        for w in succ[v]:
-            if comp_of[w] != comp_of[v]:
-                bottom[comp_of[v]] = False
-    absorbed = [ZERO] * m
-    accepting_comp = [
-        bottom[k] and any(v & 1 for v in comp) for k, comp in enumerate(comps)
-    ]
-    known = [False] * m
-    for v in range(m):
-        k = comp_of[v]
-        if bottom[k]:
-            absorbed[v] = Fraction(1) if accepting_comp[k] else ZERO
-            known[v] = True
-
-    transient = [v for v in range(m) if not known[v]]
-    if transient:
-        pos = {v: idx for idx, v in enumerate(transient)}
-        size = len(transient)
-        a: Matrix = [[ZERO] * size for _ in range(size)]
-        b: list[Fraction] = [ZERO] * size
-        for v in transient:
-            i = v >> 1
-            r = pos[v]
-            a[r][r] += Fraction(1)
-            for (j, f), p in rows[i].items():
-                w = 2 * j + f
-                if known[w]:
-                    b[r] += p * absorbed[w]
-                else:
-                    a[r][pos[w]] -= p
-        sol = solve_linear(a, b)
-        for v, val in zip(transient, sol):
-            absorbed[v] = val
-
-    after_stem = distribution_after(pa, lasso.stem)
-    return sum(
-        (p * absorbed[2 * index[s]] for s, p in after_stem.items()), ZERO
-    )
+    # Absorption value of each node: 0 or 1 in a bottom component, else unknown.
+    value: list[Fraction | int | None] = [None] * (2 * n)
+    for comp in _sccs(2 * n, succ):
+        members = set(comp)
+        if all(w in members for v in comp for w in succ[v]):
+            good = int(any(v >= n for v in comp))
+            for v in comp:
+                value[v] = good
+    transient = [v for v, known in enumerate(value) if known is None]
+    col = {v: j for j, v in enumerate(transient)}
+    rows, rhs = [], []
+    for v in transient:
+        belief, scale = out_of[v % n]
+        row, b = {col[v]: scale}, 0
+        for w, q in belief.items():
+            if value[w] is None:
+                row[col[w]] = row.get(col[w], 0) - q
+            else:
+                b += q * value[w]
+        rows.append(row)
+        rhs.append(b)
+    for v, (num, den) in zip(transient, solve_sparse(rows, rhs)):
+        value[v] = Fraction(num, den)
+    return sum((Fraction(q, stem_scale) * value[s] for s, q in after_stem.items()), ZERO)
 
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One perturbed instantiation: the full transition assignment, the
-    nonzero offsets that produced it, the best word the search found there,
-    and that word's acceptance probability."""
+    """One perturbed instantiation: its full transition table (the
+    instance's read-only ``delta`` view), the nonzero offsets that produced
+    it, the best word the search found there, and that word's acceptance
+    probability."""
 
     delta: Mapping[tuple[str, str], Distribution]
     offsets: tuple[tuple[str, str, str, Fraction], ...]
@@ -378,11 +374,12 @@ def noisy_sweep(
     """Word search across a grid of perturbations of the center instantiation.
 
     Every transition distribution with several targets contributes free
-    coordinates: its first k-1 targets (state order) each take an offset from
-    an evenly spaced grid on [-eps, +eps], the last target absorbs the
-    negated sum. Combinations that would leave the eps-ball in sup norm or
+    coordinates: its first k-1 targets (sorted by state id) each take an
+    offset from an evenly spaced grid on [-eps, +eps], the last target absorbs
+    the negated sum. Combinations that would leave the eps-ball in sup norm or
     drive some probability to zero or below are dropped, every surviving
-    combination is instantiated exactly, and :func:`value_lower_bound` runs
+    combination is instantiated exactly on one :class:`~pfakit.core.Skeleton`
+    whose open pairs are the free ones, and :func:`value_lower_bound` runs
     with the given budget. Points come back in grid order. A grid of more
     than ``MAX_SWEEP_POINTS`` combinations raises :class:`BudgetExceeded`
     before any of them is built.
@@ -394,50 +391,34 @@ def noisy_sweep(
         raise DomainError(f"grid must be >= 1, got {grid}")
     if budget is None:
         budget = SearchBudget(max_word_length=8)
-    instantiate(npa, center)  # fail fast on an inconsistent center
+    instantiate(npa, center)  # the center's one validation
 
-    order = {s: i for i, s in enumerate(npa.states)}
-    letter_order = {c: i for i, c in enumerate(npa.alphabet)}
     free_pairs = [
-        (s, c)
-        for (s, c) in sorted(center, key=lambda sc: (order[sc[0]], letter_order[sc[1]]))
-        if len(center[(s, c)].support()) > 1
+        (s, c) for s in npa.states for c in npa.alphabet if len(npa.targets(s, c)) > 1
     ]
-    axes: list[tuple[str, str, str]] = []
-    for s, c in free_pairs:
-        targets = [t for t, _p in center[(s, c)].items()]
-        for t in targets[:-1]:
-            axes.append((s, c, t))
+    axes = [(s, c, t) for s, c in free_pairs for t, _p in center[(s, c)].items()[:-1]]
     points = grid ** len(axes)
     if points > MAX_SWEEP_POINTS:
         raise BudgetExceeded(
             f"{grid}^{len(axes)} = {points} grid points, more than {MAX_SWEEP_POINTS}"
         )
     steps = _offset_grid(eps, grid) if axes else []  # no axes: one point, the center
+    skeleton = Skeleton(npa, free_pairs)
 
     out: list[SweepPoint] = []
     for combo in itertools.product(steps, repeat=len(axes)):
-        delta = {pair: dict(center[pair].items()) for pair in center}
-        pair_shift: dict[tuple[str, str], Fraction] = {}
-        ok = True
+        shifted = {pair: dict(center[pair].items()) for pair in free_pairs}
         for (s, c, t), off in zip(axes, combo):
-            delta[(s, c)][t] += off
-            pair_shift[(s, c)] = pair_shift.get((s, c), ZERO) + off
-        for (s, c), total in pair_shift.items():
-            if abs(total) > eps:
-                ok = False
-                break
-            last = center[(s, c)].items()[-1][0]
-            delta[(s, c)][last] -= total
-        if ok:
-            ok = all(p > 0 for d in delta.values() for p in d.values())
-        if not ok:
+            shifted[(s, c)][t] += off
+            shifted[(s, c)][center[(s, c)].items()[-1][0]] -= off
+        # Only a last target can leave the eps-ball; none may reach zero.
+        moved = [(p, p - center[pair][t]) for pair, d in shifted.items() for t, p in d.items()]
+        if any(p <= 0 or abs(off) > eps for p, off in moved):
             continue
-        spec = {pair: Distribution(d) for pair, d in delta.items()}
-        pa = instantiate(npa, spec)
+        pa = skeleton.instantiate({pair: Distribution(d) for pair, d in shifted.items()})
         word, value = value_lower_bound(pa, budget)
         offsets = tuple(
             (s, c, t, off) for (s, c, t), off in zip(axes, combo) if off
         )
-        out.append(SweepPoint(spec, offsets, word, value))
+        out.append(SweepPoint(pa.delta, offsets, word, value))
     return out

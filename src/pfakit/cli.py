@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import random
 import sys
 from fractions import Fraction
@@ -45,7 +46,7 @@ from .documents import (
     serialize_automaton,
 )
 from .dot import export_dot
-from .errors import AutomatonError, DomainError, ValidationError
+from .errors import AutomatonError, DomainError, ParseError, ValidationError
 from .verification import (
     PropReport,
     check_cheat_once,
@@ -87,8 +88,12 @@ def _parse_sets(pairs: Sequence[str]) -> dict[str, Fraction]:
 
 
 def _load_document(path: str) -> AutomatonDocument:
-    with open(path, encoding="utf-8") as f:
-        return parse_document(f.read())
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ParseError(f"cannot read {path!r}: {e}") from None
+    return parse_document(text)
 
 
 def _load_automaton(args) -> ProbAutomaton | NumberlessAutomaton | BuchiAutomaton:
@@ -118,16 +123,11 @@ def _emit(args, text: str) -> None:
 
 
 def _csv_out(args, header: list[str], rows: list[list[str]]) -> None:
-    lines: list[str] = []
-
-    class _Sink:
-        def write(self, s: str) -> None:
-            lines.append(s)
-
-    writer = csv.writer(_Sink(), lineterminator="\n")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    _emit(args, "".join(lines))
+    _emit(args, buf.getvalue())
 
 
 # --- command handlers ---------------------------------------------------------

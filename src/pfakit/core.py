@@ -21,9 +21,11 @@ integer masses over state indices plus one integer scale: reading a letter
 multiplies the scale by the letter's denominator only when the belief touches
 one of its non-Dirac rows, so deterministic moves never multiply. One loop,
 :func:`_advance`, serves :func:`step`, :func:`distribution_after`,
-:func:`trace_word`, :func:`accept_prob` and :func:`reach_prob`; exact
-``Fraction`` results are built only where they are returned, so they are the
-same canonical fractions a Fraction-by-Fraction evaluation gives.
+:func:`trace_word`, :func:`accept_prob`, :func:`reach_prob` and all of
+:mod:`pfakit.analysis`; exact ``Fraction`` results are built only where they
+are returned, so they are the same canonical fractions a Fraction-by-Fraction
+evaluation gives. (:func:`step`, for callers holding a :class:`Distribution`,
+is not called inside the library.)
 
 Word matrices come from the same loop: :func:`word_matrix` pushes every basis
 state through a word's compiled rows and returns the rows as integers over one

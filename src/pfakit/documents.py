@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .core import Distribution, NumberlessAutomaton, ProbAutomaton, instantiate
+from .core import MAX_EXPONENT, Distribution, NumberlessAutomaton, ProbAutomaton, instantiate
 from .constructions import BuchiAutomaton
 from .errors import ParseError, ValidationError
 
@@ -143,6 +143,8 @@ class _ExprParser:
             start = self.pos
             while self.pos < len(self.text) and self.text[self.pos].isdigit():
                 self.pos += 1
+            if self.pos - start > MAX_EXPONENT:
+                raise self.fail(f"integer literal longer than {MAX_EXPONENT} digits")
             return Fraction(int(self.text[start : self.pos]))
         if ch.isalpha() or ch == "_":
             start = self.pos
@@ -194,6 +196,9 @@ def parse_document(text: str) -> AutomatonDocument:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno} column {e.colno}: {e.msg}") from e
+    except (ValueError, RecursionError) as e:
+        # Numbers past Python's int-to-str digit limit, or nesting past its stack.
+        raise ParseError(f"unreadable JSON: {e}") from None
     if not isinstance(raw, dict):
         raise ParseError("document root must be an object")
     kind = _need(raw, "kind", str, "document")

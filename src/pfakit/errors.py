@@ -47,7 +47,12 @@ class AlphabetClash(AutomatonError):
 
 
 class BudgetExceeded(AutomatonError):
-    """A search exceeded its distribution-state budget, or a sweep its grid-point bound."""
+    """A search exceeded its belief budget (the error keeps the best word found
+    and its value as ``word`` and ``value``), or a sweep its grid-point bound."""
+
+    def __init__(self, message: str, word=None, value=None):
+        super().__init__(message)
+        self.word, self.value = word, value
 
 
 class EmptyCycle(AutomatonError):

@@ -1,20 +1,17 @@
-"""Exact matrix routines.
+"""Exact integer matrix routines; nothing here builds a ``Fraction``.
 
 Word matrices are integer matrices over one common denominator, ``(ints,
 den)``, indexed by state declaration order; :func:`pfakit.core.word_matrix`
-builds them from the compiled kernel. Products and powers multiply integers,
-never Fractions. :func:`solve_linear` is the one routine over Fraction.
+builds them from the compiled kernel. :func:`solve_sparse` solves a square
+linear system given as sparse integer rows.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Sequence
+import math
 
 from .core import IntMatrix
 from .errors import DomainError
-
-Matrix = list[list[Fraction]]
 
 
 def int_mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -27,37 +24,46 @@ def int_mat_pow(ints: IntMatrix, den: int, e: int) -> tuple[IntMatrix, int]:
     if e < 0:
         raise DomainError(f"exponent must be >= 0, got {e}")
     n = len(ints)
-    if e == 0:
-        return [[int(i == j) for j in range(n)] for i in range(n)], 1
-    acc: IntMatrix | None = None
-    acc_den = 1
-    while True:
+    acc, acc_den = [[int(i == j) for j in range(n)] for i in range(n)], 1
+    while e:
         if e & 1:
-            acc = ints if acc is None else int_mat_mul(acc, ints)
-            acc_den *= den
+            acc, acc_den = int_mat_mul(acc, ints), acc_den * den
         e >>= 1
-        if not e:
-            break
-        ints = int_mat_mul(ints, ints)
-        den *= den
-    assert acc is not None
+        if e:
+            ints, den = int_mat_mul(ints, ints), den * den
     return acc, acc_den
 
 
-def solve_linear(a: Matrix, b: Sequence[Fraction]) -> list[Fraction]:
-    """Solve a @ x == b exactly by Gaussian elimination. ``a`` must be square
-    and nonsingular."""
-    n = len(a)
-    rows = [list(row) + [bi] for row, bi in zip(a, b)]
+def _reduced(row: dict[int, int]) -> dict[int, int]:
+    """The row without its zeros, divided by the gcd of the rest."""
+    g = math.gcd(*row.values()) or 1
+    return {j: x // g for j, x in row.items() if x}
+
+
+def solve_sparse(rows: list[dict[int, int]], rhs: list[int]) -> list[tuple[int, int]]:
+    """Solve ``sum_j rows[i][j] * x[j] == rhs[i]`` (``rows[i]`` maps columns to
+    integers) as ``x[j] = (num, den)`` in lowest terms with ``den > 0``.
+
+    Fraction-free Gauss-Jordan: each column's pivot is searched among the rows
+    not used yet, every other row is cross-multiplied against it and divided
+    by the gcd of its entries. :class:`DomainError` if the system is singular.
+    """
+    n = len(rows)
+    eqs = [_reduced({**row, n: b}) for row, b in zip(rows, rhs)]  # rhs is column n
+    used: set[int] = set()
     for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
+        p = next((r for r in range(n) if r not in used and col in eqs[r]), None)
+        if p is None:
             raise DomainError("singular linear system")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [x * inv for x in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    return [rows[r][n] for r in range(n)]
+        used.add(p)
+        pivot, a = eqs[p], eqs[p][col]
+        for r, eq in enumerate(eqs):
+            c = eq.get(col)
+            if c is not None and r != p:
+                new = {j: a * x for j, x in eq.items()}
+                for j, x in pivot.items():
+                    new[j] = new.get(j, 0) - c * x
+                eqs[r] = _reduced(new)
+    # Each row is now a * x[col] == b for its own pivot column.
+    out = {col: (eq.get(n, 0), eq[col]) for eq in eqs for col in eq if col < n}
+    return [(-b, -a) if a < 0 else (b, a) for _col, (b, a) in sorted(out.items())]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import lasso_oracle, seesaw_closed_form
 from pfakit import (
     BudgetExceeded,
+    Distribution,
     DomainError,
     EmptyCycle,
     FamilyTemplate,
@@ -51,10 +52,21 @@ class TestBudget:
             SearchBudget(**kwargs)
 
     def test_belief_cap_enforced(self, seesaw_fast):
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded) as info:
             value_lower_bound(
                 seesaw_fast, SearchBudget(max_word_length=8, max_distribution_states=3)
             )
+        e = info.value
+        assert str(e) == "more than 3 distinct beliefs"
+        assert accept_prob(seesaw_fast, e.word) == e.value
+        # A later cap: the error keeps the best word found before it.
+        with pytest.raises(BudgetExceeded) as info:
+            value_lower_bound(
+                seesaw_fast, SearchBudget(max_word_length=8, max_distribution_states=20)
+            )
+        e = info.value
+        assert (e.word, e.value) == (tuple("iafif"), F(5, 8))
+        assert accept_prob(seesaw_fast, e.word) == e.value
 
 
 class TestStatesReaching:
@@ -235,6 +247,21 @@ class TestNoisySweep:
         for pt in noisy_sweep(seesaw_support, center, eps, 3):
             for _s, _c, _t, off in pt.offsets:
                 assert abs(off) <= eps
+
+    def test_last_target_stays_in_ball(self):
+        # One pair splits three ways: two free offsets of the same sign push
+        # the last target's shift past eps, so those two points are dropped.
+        third, eps = F(1, 3), F(1, 8)
+        delta = {
+            ("p", "a"): Distribution({"p": third, "q": third, "r": third}),
+            ("q", "a"): dirac("q"),
+            ("r", "a"): dirac("r"),
+        }
+        pa = ProbAutomaton(("p", "q", "r"), ("a",), "p", delta, {"q"})
+        points = noisy_sweep(support_abstraction(pa), delta, eps, 3)
+        assert len(points) == 7
+        for pt in points:
+            assert all(abs(p - third) <= eps for _t, p in pt.delta[("p", "a")].items())
 
     def test_some_perturbation_beats_center(self, seesaw_support):
         # tipping x above y must raise the reachable value

@@ -260,6 +260,35 @@ class TestErrors:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "content",
+        [None, "directory", b"\xff\xfe{", ("[" * 100_000 + "]" * 100_000).encode()],
+        ids=["missing", "directory", "not-utf8", "nested-100000-deep"],
+    )
+    def test_unloadable_document(self, capsys, tmp_path, content):
+        path = tmp_path / "doc.json"
+        if content == "directory":
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+        code, out, err = run(capsys, "eval", "--automaton", str(path), "--word", "a")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_integer_literal_beyond_the_digit_bound(self, capsys, tmp_path):
+        doc = {
+            "kind": "pa", "states": ["q0"], "alphabet": ["a"], "initial": "q0",
+            "final": [], "transitions": [
+                {"from": "q0", "letter": "a", "to": {"q0": "1" * 5001 + "/" + "1" * 5001}},
+            ],
+        }
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "eval", "--automaton", str(path), "--word", "a")
+        assert code == 2
+        assert "longer than 4300 digits" in err
+
     def test_unknown_letter(self, capsys, seesaw_doc):
         code, _, err = run(
             capsys, "eval", "--automaton", seesaw_doc,

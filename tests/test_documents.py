@@ -76,8 +76,24 @@ class TestExpressions:
     def test_nesting_up_to_the_bound(self):
         assert eval_expression("(" * 50 + "-" * 50 + "1/2" + ")" * 50) == F(1, 2)
 
+    def test_integer_literals_are_bounded(self):
+        # One digit past the bound; Python's int() would raise a bare ValueError.
+        with pytest.raises(ValidationError, match="longer than 4300 digits"):
+            eval_expression("1" * 4301 + "/2")
+        longest = "1" + "0" * 4299
+        assert eval_expression(f"{longest}/{longest}") == 1
+
 
 class TestParsing:
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 100_000 + "]" * 100_000, '{"kind": ' + "1" * 5000 + "}"],
+        ids=["nested-100000-deep", "5000-digit-number"],
+    )
+    def test_json_beyond_python_limits_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="unreadable JSON"):
+            parse_document(text)
+
     def test_bad_json_reports_position(self):
         with pytest.raises(ParseError, match=r"line \d+ column \d+"):
             parse_document("{not json")

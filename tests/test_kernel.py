@@ -1,38 +1,61 @@
 """The compiled integer kernel against the plain-dict oracles.
 
-Every exact evaluation in ``pfakit.core`` runs on one compiled integer form;
-these tests compare it with ``tests/oracles.py``, which propagates Fractions
-through ``pa.delta`` and shares no code with it.
+Every exact evaluation in ``pfakit.core``, and the search and lasso of
+``pfakit.analysis``, runs on one compiled integer form; these tests compare it
+with ``tests/oracles.py``, which propagates Fractions through ``pa.delta`` and
+shares no code with it, and with Fraction code kept in this file.
 """
 
+import ast
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import raw_accept, raw_after, raw_reach
+from oracles import lasso_oracle, raw_accept, raw_after, raw_reach
 from pfakit import (
     NEXT_WORD,
+    BuchiAutomaton,
+    BudgetExceeded,
     Distribution,
     FamilyTemplate,
+    LassoWord,
     ProbAutomaton,
+    SearchBudget,
     accept_prob,
+    buchi_reduction,
     build_simulation,
+    dirac,
     distribution_after,
     expand_template,
     family_eval,
     hat,
     instantiate,
     instantiate_simulation,
+    lasso_prob,
     monte_carlo_accept,
     random_simple_pa,
     reach_prob,
     seesaw_pa,
     step,
     trace_word,
+    value_lower_bound,
 )
+
+
+def test_oracles_import_nothing_from_pfakit():
+    """The oracles must stay independent of every path they check."""
+    tree = ast.parse(Path(__file__).with_name("oracles.py").read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+    assert [m for m in imported if m.split(".")[0] == "pfakit"] == []
 
 
 def mixed_pa(seed: int, n_states: int, n_letters: int) -> ProbAutomaton:
@@ -177,3 +200,89 @@ def test_monte_carlo_estimates_are_pinned(sim_source, kind, seed, estimate):
         pa = instantiate_simulation(sim, F(1, 3), F(1, 2))
         word, samples = (hat(["a", "#", "#"], sim.state_order) + [NEXT_WORD]) * 3, 400
     assert monte_carlo_accept(pa, word, samples, seed) == estimate
+
+
+def reference_search(pa, length, beam):
+    """value_lower_bound's breadth-first search on Fraction dicts: each
+    belief is ``raw_after`` of its word, the live states a support fixpoint.
+    Returns the word, its value and the number of distinct beliefs seen."""
+    live = set(pa.final)
+    grew = True
+    while grew:
+        grew = False
+        for (s, _c), d in pa.delta.items():
+            if s not in live and not live.isdisjoint(d.support()):
+                live.add(s)
+                grew = True
+
+    def mass(belief, states):
+        return sum((p for s, p in belief.items() if s in states), F(0))
+
+    best_word, best = (), raw_accept(pa, ())
+    seen = {frozenset(raw_after(pa, ()).items())}
+    frontier = [()]
+    for _ in range(length):
+        scored = []
+        for word in frontier:
+            for c in pa.alphabet:
+                belief = raw_after(pa, word + (c,))
+                key = frozenset(belief.items())
+                if key in seen:
+                    continue
+                seen.add(key)
+                acc, potential = mass(belief, pa.final), mass(belief, live)
+                if potential <= best:
+                    continue
+                if acc > best:
+                    best, best_word = acc, word + (c,)
+                scored.append((acc + potential, word + (c,)))
+        if beam and len(scored) > beam:
+            scored.sort(key=lambda item: item[0], reverse=True)
+            del scored[beam:]
+        frontier = [word for _score, word in scored]
+    return best_word, best, len(seen)
+
+
+RATES = st.sampled_from((F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4)))
+SEARCHED = st.one_of(
+    automata().filter(lambda pa: pa.initial not in pa.final),
+    st.builds(seesaw_pa, RATES, RATES),
+)
+
+
+@given(SEARCHED, st.integers(0, 8), st.sampled_from((0, 1, 2, 5)))
+@settings(max_examples=60, deadline=None)
+def test_search_matches_the_fraction_search(pa, length, beam):
+    word, value, beliefs = reference_search(pa, length, beam)
+    # A cap of exactly the beliefs the reference saw holds; one less does not.
+    assert value_lower_bound(pa, SearchBudget(length, beam, beliefs)) == (word, value)
+    if beliefs > 1:
+        with pytest.raises(BudgetExceeded):
+            value_lower_bound(pa, SearchBudget(length, beam, beliefs - 1))
+
+
+@given(automata(max_states=4), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_lasso_matches_the_oracle(pa, rng):
+    ba = buchi_reduction(pa)
+    alphabet = ba.automaton.alphabet
+    stem = tuple(rng.choice(alphabet) for _ in range(rng.randrange(0, 3)))
+    cycle = tuple(rng.choice(alphabet) for _ in range(rng.randrange(1, 5)))
+    assert lasso_prob(ba, LassoWord(stem, cycle)) == lasso_oracle(
+        ba.automaton, ba.accepting, stem, cycle
+    )
+
+
+def test_lasso_on_a_long_gamblers_ruin_chain():
+    """200 states, one letter: up with probability 1/3, both ends absorb, the
+    top accepts. From state k the walk reaches the top with probability
+    (1 - r^k) / (1 - r^199), r = 2."""
+    n, up, start = 200, F(1, 3), 100
+    states = tuple(f"s{i}" for i in range(n))
+    delta = {(s, "s"): dirac(s) for s in (states[0], states[-1])}
+    for i in range(1, n - 1):
+        delta[(states[i], "s")] = Distribution({states[i + 1]: up, states[i - 1]: 1 - up})
+    top = frozenset({states[-1]})
+    ba = BuchiAutomaton(ProbAutomaton(states, ("s",), states[start], delta, top), top)
+    r = (1 - up) / up
+    assert lasso_prob(ba, LassoWord((), ("s",))) == (1 - r**start) / (1 - r ** (n - 1))

@@ -16,7 +16,7 @@ from pfakit import (
     dirac,
 )
 from pfakit.core import accept_steps, word_matrix
-from pfakit.matrices import int_mat_mul, int_mat_pow, solve_linear
+from pfakit.matrices import int_mat_mul, int_mat_pow, solve_sparse
 
 
 def fractions(ints, den):
@@ -125,17 +125,22 @@ class TestMatPow:
 
 
 class TestSolveLinear:
+    """The sparse integer solver; each x[j] comes back as (num, den)."""
+
     def test_solves_known_system(self):
-        a = [[F(2), F(1)], [F(1), F(3)]]
-        b = [F(5), F(10)]
-        x = solve_linear(a, b)
-        assert x == [F(1), F(3)]
+        rows = [{0: 2, 1: 1}, {0: 1, 1: 3}]
+        assert solve_sparse(rows, [5, 10]) == [(1, 1), (3, 1)]
 
     def test_permuted_pivot(self):
-        a = [[F(0), F(1)], [F(1), F(0)]]
-        assert solve_linear(a, [F(7), F(9)]) == [F(9), F(7)]
+        # Column 0's only nonzero is in row 1: the pivot search must find it.
+        rows = [{0: 0, 1: 1}, {0: 1, 1: 0}]
+        assert solve_sparse(rows, [7, 9]) == [(9, 1), (7, 1)]
 
     def test_singular_rejected(self):
-        a = [[F(1), F(1)], [F(2), F(2)]]
+        rows = [{0: 1, 1: 1}, {0: 2, 1: 2}]
         with pytest.raises(DomainError):
-            solve_linear(a, [F(1), F(2)])
+            solve_sparse(rows, [1, 2])
+
+    def test_solution_in_lowest_terms(self):
+        # -6 x = 4 and 4 y - 2 x = 0: x = -2/3, y = -1/3, denominators positive.
+        assert solve_sparse([{0: -6}, {0: -2, 1: 4}], [4, 0]) == [(-2, 3), (-1, 3)]
