@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import random
 import sys
@@ -412,21 +413,22 @@ def _cmd_check_props(args) -> int:
 # --- parser --------------------------------------------------------------------
 
 
-def _add_automaton_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--automaton", required=True, help="automaton document (JSON)")
-    p.add_argument(
-        "--set",
-        action="append",
-        default=[],
-        metavar="NAME=VALUE",
-        help="bind a document parameter (repeatable), e.g. --set x=3/4",
-    )
+def _command(sub, name: str, help: str, func, automaton: bool = True) -> argparse.ArgumentParser:
+    """Add subcommand ``name`` running ``func``, with the document flags if ``automaton``."""
+    p = sub.add_parser(name, help=help)
+    if automaton:
+        p.add_argument("--automaton", required=True, help="automaton document (JSON)")
+        p.add_argument("--set", action="append", default=[], metavar="NAME=VALUE",
+                       help="bind a document parameter (repeatable), e.g. --set x=3/4")
+    p.set_defaults(func=func)
+    return p
 
 
 def _add_out_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write to this file instead of stdout")
 
 
+@functools.cache  # one parser per process: building it costs more than a small command
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pfakit",
@@ -434,104 +436,83 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", help="acceptance probability of a word")
-    _add_automaton_flags(p)
+    p = _command(sub, "eval", "acceptance probability of a word", _cmd_eval)
     p.add_argument("--word", required=True, help="whitespace-separated letters")
-    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("reach", help="reach probability from a source state")
-    _add_automaton_flags(p)
+    p = _command(sub, "reach", "reach probability from a source state", _cmd_reach)
     p.add_argument("--source", required=True)
     p.add_argument("--word", required=True)
     p.add_argument("--targets", required=True, help="whitespace-separated target states")
-    p.set_defaults(func=_cmd_reach)
 
-    p = sub.add_parser("search", help="bounded search for a high-acceptance word")
-    _add_automaton_flags(p)
+    p = _command(sub, "search", "bounded search for a high-acceptance word", _cmd_search)
     p.add_argument("--max-len", type=int, default=8)
     p.add_argument("--beam", type=int, default=0, help="0 = exhaustive")
     p.add_argument("--max-beliefs", type=int, default=0, help="0 = unlimited")
-    p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("fair-coin", help="compile to the biased-coin automaton")
-    _add_automaton_flags(p)
+    p = _command(sub, "fair-coin", "compile to the biased-coin automaton", _cmd_fair_coin)
     p.add_argument("--lambda", dest="lam", type=parse_rational, required=True)
     _add_out_flag(p)
-    p.set_defaults(func=_cmd_fair_coin)
 
-    p = sub.add_parser("simulate-build", help="compile to the one-coin support automaton")
-    _add_automaton_flags(p)
-    _add_out_flag(p)
-    p.set_defaults(func=_cmd_simulate_build)
+    _add_out_flag(_command(
+        sub, "simulate-build", "compile to the one-coin support automaton", _cmd_simulate_build
+    ))
 
-    p = sub.add_parser("simulate-instantiate", help="give the one coin its numbers")
-    _add_automaton_flags(p)
+    p = _command(
+        sub, "simulate-instantiate", "give the one coin its numbers", _cmd_simulate_instantiate
+    )
     p.add_argument("--lambda", dest="lam", type=parse_rational, required=True)
     p.add_argument("--theta", type=parse_rational, required=True)
     _add_out_flag(p)
-    p.set_defaults(func=_cmd_simulate_instantiate)
 
-    p = sub.add_parser("hat", help="encode a padded word as a probe word")
-    _add_automaton_flags(p)
+    p = _command(sub, "hat", "encode a padded word as a probe word", _cmd_hat)
     p.add_argument("--word", required=True)
-    p.set_defaults(func=_cmd_hat)
 
-    p = sub.add_parser("encode", help="pad each letter with 2k sharps")
+    p = _command(sub, "encode", "pad each letter with 2k sharps", _cmd_encode, automaton=False)
     p.add_argument("--word", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=_cmd_encode)
 
-    p = sub.add_parser("fairness-dfa", help="the deterministic probe-format checker")
-    _add_automaton_flags(p)
-    _add_out_flag(p)
-    p.set_defaults(func=_cmd_fairness_dfa)
+    _add_out_flag(_command(
+        sub, "fairness-dfa", "the deterministic probe-format checker", _cmd_fairness_dfa
+    ))
+    _add_out_flag(_command(
+        sub, "buchi", "add the restart letter for repeated acceptance", _cmd_buchi
+    ))
 
-    p = sub.add_parser("buchi", help="add the restart letter for repeated acceptance")
-    _add_automaton_flags(p)
-    _add_out_flag(p)
-    p.set_defaults(func=_cmd_buchi)
-
-    p = sub.add_parser("lasso", help="probability of repeated acceptance on stem cycle^w")
-    _add_automaton_flags(p)
+    p = _command(sub, "lasso", "probability of repeated acceptance on stem cycle^w", _cmd_lasso)
     p.add_argument("--stem", default="", help="whitespace-separated letters")
     p.add_argument("--cycle", required=True)
-    p.set_defaults(func=_cmd_lasso)
 
-    p = sub.add_parser("sweep", help="word search across perturbed instantiations")
-    _add_automaton_flags(p)
+    p = _command(sub, "sweep", "word search across perturbed instantiations", _cmd_sweep)
     p.add_argument("--eps", type=parse_rational, required=True)
     p.add_argument("--grid", type=int, required=True)
     p.add_argument("--max-len", type=int, default=8)
     p.add_argument("--beam", type=int, default=0)
     _add_out_flag(p)
-    p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("check-props", help="randomized proposition battery")
+    p = _command(
+        sub, "check-props", "randomized proposition battery", _cmd_check_props, automaton=False
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=60)
     _add_out_flag(p)
-    p.set_defaults(func=_cmd_check_props)
 
-    p = sub.add_parser("case-study", help="acceptance of (i a^n f)^m on the seesaw")
+    p = _command(
+        sub, "case-study", "acceptance of (i a^n f)^m on the seesaw", _cmd_case_study,
+        automaton=False,
+    )
     p.add_argument("--x", type=parse_rational, required=True)
     p.add_argument("--y", type=parse_rational, required=True)
     p.add_argument("--n-max", type=int, default=20)
     p.add_argument("--m-max", type=int, default=4096)
     p.add_argument("--eps", type=parse_rational, default=Fraction(1, 100))
     _add_out_flag(p)
-    p.set_defaults(func=_cmd_case_study)
 
-    p = sub.add_parser("export-dot", help="Graphviz rendering")
-    _add_automaton_flags(p)
-    _add_out_flag(p)
-    p.set_defaults(func=_cmd_export_dot)
+    _add_out_flag(_command(sub, "export-dot", "Graphviz rendering", _cmd_export_dot))
 
-    p = sub.add_parser("monte-carlo", help="sampled acceptance vs the exact value")
-    _add_automaton_flags(p)
+    p = _command(sub, "monte-carlo", "sampled acceptance vs the exact value", _cmd_monte_carlo)
     p.add_argument("--word", required=True)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_monte_carlo)
 
     return parser
 

@@ -393,11 +393,10 @@ def build_simulation(a: ProbAutomaton) -> SimulationNPA:
         + list(checker.states)
     )
 
-    support: set[tuple[str, str, str]] = set()
+    table: dict[tuple[str, str], tuple[str, ...]] = {}
 
     def put(s: str, c: str, *targets: str) -> None:
-        for t in targets:
-            support.add((s, c, t))
+        table[(s, c)] = targets
 
     # Left copies.
     for q in order:
@@ -438,12 +437,10 @@ def build_simulation(a: ProbAutomaton) -> SimulationNPA:
         else:
             put(wait, c, wait)
     # The checker runs itself on every letter.
-    for d in checker.states:
-        for c in alphabet:
-            put(d, c, checker.delta[(d, c)].items()[0][0])
+    table.update((pair, tuple(move)) for pair, move in checker.delta.items())
 
-    npa = NumberlessAutomaton(
-        tuple(states), alphabet, left[skel.initial], frozenset(support), frozenset({"D:start"})
+    npa = NumberlessAutomaton.from_targets(
+        states, alphabet, left[skel.initial], table, {"D:start"}
     )
     return SimulationNPA(
         npa=npa,

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Mapping
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -242,57 +242,85 @@ def _check_delta(states, alphabet, state_set, delta) -> None:
         raise ValidationError(f"delta has entries for unknown pairs {sorted(extra)}")
 
 
+class SupportTriples(Set):
+    """The (state, letter, target) triples of a target table, as a read-only set."""
+
+    __slots__ = ("table", "size")
+    __hash__ = Set._hash
+
+    def __init__(self, table: dict[tuple[str, str], tuple[str, ...]]):
+        self.table, self.size = table, sum(map(len, table.values()))
+
+    def __contains__(self, triple) -> bool:
+        return (isinstance(triple, tuple) and len(triple) == 3
+                and triple[2] in self.table.get(triple[:2], ()))
+
+    def __iter__(self):
+        return ((s, a, t) for (s, a), hits in self.table.items() for t in hits)
+
+    def __len__(self) -> int:
+        return self.size
+
+
 @dataclass(frozen=True)
 class NumberlessAutomaton:
     """A support-level automaton: who can go where, with the numbers erased.
 
-    ``support`` is a set of (state, letter, target) triples. Totality is
-    required: every (state, letter) pair has at least one target.
+    ``support`` is a set of (state, letter, target) triples, kept as the
+    :class:`SupportTriples` of its per-pair target table; :meth:`from_targets`
+    takes that table directly. Totality is required: every (state, letter)
+    pair has at least one target.
     """
 
     states: tuple[str, ...]
     alphabet: tuple[str, ...]
     initial: str
-    support: frozenset[tuple[str, str, str]]
+    support: Set
     final: frozenset[str]
+
+    @classmethod
+    def from_targets(cls, states, alphabet, initial, targets, final) -> NumberlessAutomaton:
+        """The automaton whose pair (s, a) goes to the states ``targets[(s, a)]``."""
+        return cls(states, alphabet, initial, targets, final)
 
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        object.__setattr__(self, "support", frozenset(self.support))
         object.__setattr__(self, "final", frozenset(self.final))
         _check_ids("state", self.states)
         _check_ids("letter", self.alphabet)
-        state_set = frozenset(self.states)
-        if self.initial not in state_set:
-            raise ValidationError(f"initial state {self.initial!r} not among states")
-        if self.final - state_set:
-            raise ValidationError(f"final states {sorted(self.final - state_set)} not among states")
-        letter_set = frozenset(self.alphabet)
-        grouped: dict[tuple[str, str], list[str]] = {}
-        for (s, a, t) in self.support:
-            if s not in state_set or t not in state_set:
-                raise ValidationError(f"support triple ({s!r}, {a!r}, {t!r}) uses unknown state")
-            if a not in letter_set:
-                raise ValidationError(f"support triple ({s!r}, {a!r}, {t!r}) uses unknown letter")
-            grouped.setdefault((s, a), []).append(t)
-        for s in self.states:
-            for a in self.alphabet:
-                if (s, a) not in grouped:
-                    raise ValidationError(f"no support for ({s!r}, {a!r}); automata must be total")
         order = {s: i for i, s in enumerate(self.states)}
-        target_map = {
-            key: tuple(sorted(hits, key=order.__getitem__)) for key, hits in grouped.items()
-        }
-        object.__setattr__(self, "_state_set", state_set)
-        object.__setattr__(self, "_target_map", target_map)
+        if self.initial not in order:
+            raise ValidationError(f"initial state {self.initial!r} not among states")
+        if stray := self.final - order.keys():
+            raise ValidationError(f"final states {sorted(stray)} not among states")
+        grouped = self.support  # a table from from_targets, else triples
+        if not isinstance(grouped, Mapping):
+            grouped = {}
+            for s, a, t in self.support:
+                grouped.setdefault((s, a), []).append(t)
+        letter_set = frozenset(self.alphabet)
+        table: dict[tuple[str, str], tuple[str, ...]] = {}
+        for (s, a), hits in grouped.items():
+            for t in hits:
+                if s not in order or t not in order or a not in letter_set:
+                    bad = "letter" if s in order and t in order else "state"
+                    raise ValidationError(f"support triple {(s, a, t)!r} uses unknown {bad}")
+            if len(hits) > 1:
+                table[(s, a)] = tuple(sorted(set(hits), key=order.__getitem__))
+            elif hits:
+                table[(s, a)] = tuple(hits)
+        if len(table) != len(self.states) * len(self.alphabet):
+            s, a = next((s, a) for s in self.states for a in self.alphabet if (s, a) not in table)
+            raise ValidationError(f"no support for ({s!r}, {a!r}); automata must be total")
+        object.__setattr__(self, "support", SupportTriples(table))
 
     def targets(self, state: str, letter: str) -> tuple[str, ...]:
         """Targets of (state, letter), in state declaration order."""
         try:
-            return self._target_map[(state, letter)]  # type: ignore[attr-defined]
+            return self.support.table[(state, letter)]  # type: ignore[attr-defined]
         except KeyError:
-            if state not in self._state_set:  # type: ignore[attr-defined]
+            if state not in self.states:
                 raise UnknownState(f"unknown state {state!r}") from None
             raise UnknownLetter(f"unknown letter {letter!r}") from None
 
@@ -355,7 +383,7 @@ class Skeleton:
         self.initial, self.final = npa.initial, npa.final
         self.open = {(s, a): frozenset(npa.targets(s, a)) for s, a in sorted(open_pairs)}
         self.index = {s: i for i, s in enumerate(npa.states)}
-        target_map = npa._target_map  # type: ignore[attr-defined]
+        target_map = npa.support.table  # type: ignore[attr-defined]
         rows: dict[str, list[int]] = {a: [] for a in npa.alphabet}
         for s in npa.states:
             for a in npa.alphabet:
@@ -656,10 +684,8 @@ def require_simple(pa: ProbAutomaton) -> ProbAutomaton:
 
 def support_abstraction(pa: ProbAutomaton) -> NumberlessAutomaton:
     """Erase the numbers: keep exactly the positive-probability triples."""
-    triples = frozenset(
-        (s, a, t) for (s, a), dist in pa.delta.items() for t in dist.support()
-    )
-    return NumberlessAutomaton(pa.states, pa.alphabet, pa.initial, triples, pa.final)
+    targets = {pair: tuple(dist) for pair, dist in pa.delta.items()}
+    return NumberlessAutomaton.from_targets(pa.states, pa.alphabet, pa.initial, targets, pa.final)
 
 
 def _check_support(s: str, a: str, wanted: frozenset[str], dist: Distribution) -> None:
@@ -683,10 +709,7 @@ def instantiate(
     triples; the first violation is reported with its direction (missing mass
     on a support triple vs. extra mass outside the support).
     """
-    pairs = {(s, a) for s in npa.states for a in npa.alphabet}
-    stray = set(delta_spec) - pairs
-    if stray:
-        s, a = sorted(stray)[0]
+    for s, a in sorted(delta_spec.keys() - npa.support.table.keys()):
         raise InconsistentSupport(f"distribution given for unknown pair ({s!r}, {a!r})")
     for s in npa.states:
         for a in npa.alphabet:

@@ -11,8 +11,12 @@ targets.
 
 Canonical form: two-space indent, transitions sorted by (state order, letter
 order), "to" keys in state order, final states in state order, trailing
-newline. serialize_document(parse_document(text)) == text for canonical
-text; expression strings are preserved verbatim.
+newline: what ``json.dumps(..., indent=2)`` prints. One writer fills a fixed
+template per transition record, escaping strings with json's own
+``encode_basestring_ascii``; serialize_automaton writes straight from the
+automaton's table. serialize_document(parse_document(text)) == text for
+canonical text; expression strings are preserved verbatim, and loading
+evaluates each distinct one once.
 
 Structural problems (bad JSON, wrong shapes) raise ParseError; semantic
 problems (unknown ids, bad sums, unbound parameters) raise ValidationError.
@@ -20,10 +24,12 @@ problems (unknown ids, bad sums, unbound parameters) raise ValidationError.
 
 from __future__ import annotations
 
+import functools
 import json
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Union
 
 from .core import MAX_EXPONENT, Distribution, NumberlessAutomaton, ProbAutomaton, instantiate
 from .constructions import BuchiAutomaton
@@ -71,6 +77,11 @@ class AutomatonDocument:
 # --- expression evaluation ---------------------------------------------------
 
 
+def _clip(value, keep: int = 60) -> str:
+    """``repr(value)``, cut after ``keep`` characters so messages stay short."""
+    return (text := repr(value))[:keep] + ("..." if len(text) > keep else "")
+
+
 # Deepest nesting of parentheses and unary minus signs an expression may use;
 # the parser recurses once per level, so the bound keeps it off Python's stack
 # limit.
@@ -96,7 +107,7 @@ class _ExprParser:
         return value
 
     def fail(self, msg: str) -> ValidationError:
-        return ValidationError(f"bad expression {self.text!r} at offset {self.pos}: {msg}")
+        return ValidationError(f"bad expression {_clip(self.text)} at offset {self.pos}: {msg}")
 
     def peek(self) -> str:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -155,7 +166,7 @@ class _ExprParser:
             name = self.text[start : self.pos]
             if name not in self.bindings:
                 raise ValidationError(
-                    f"unbound parameter {name!r} in expression {self.text!r}"
+                    f"unbound parameter {_clip(name)} in expression {_clip(self.text)}"
                 )
             return Fraction(self.bindings[name])
         raise self.fail("expected a number, name, or '('")
@@ -164,7 +175,7 @@ class _ExprParser:
 def eval_expression(text: str, bindings: Mapping[str, Fraction] | None = None) -> Fraction:
     """Evaluate a probability expression ("1/2", "1-x", "x*y+1/4") exactly."""
     if not isinstance(text, str) or not text.strip():
-        raise ValidationError(f"expression must be a nonempty string, got {text!r}")
+        raise ValidationError(f"expression must be a nonempty string, got {_clip(text)}")
     parser = _ExprParser(text, bindings or {})
     value = parser.expr()
     if parser.peek():
@@ -236,16 +247,7 @@ def parse_document(text: str) -> AutomatonDocument:
         else:
             raise ParseError(f"{what}: 'to' must be a map or a list")
         records.append(TransitionRecord(src, letter, to))
-    return AutomatonDocument(
-        kind=kind,
-        states=tuple(states),
-        alphabet=tuple(alphabet),
-        initial=initial,
-        final=tuple(final),
-        transitions=tuple(records),
-        name=name,
-        params=tuple(params),
-    )
+    return AutomatonDocument(kind, states, alphabet, initial, final, records, name, params)
 
 
 # --- document -> automaton ---------------------------------------------------
@@ -274,11 +276,12 @@ def document_to_automaton(
                 raise ValidationError(f"transition to unknown state {t!r}")
 
     if doc.kind == "npa":
-        support = frozenset(
-            (rec.source, rec.letter, t) for rec in doc.transitions for t in rec.to
-        )
-        npa = NumberlessAutomaton(
-            doc.states, doc.alphabet, doc.initial, support, frozenset(doc.final)
+        targets: dict[tuple[str, str], tuple[str, ...]] = {}
+        for rec in doc.transitions:
+            pair = (rec.source, rec.letter)
+            targets[pair] = targets.get(pair, ()) + tuple(rec.to)
+        npa = NumberlessAutomaton.from_targets(
+            doc.states, doc.alphabet, doc.initial, targets, doc.final
         )
         if bindings is None:
             return npa
@@ -298,9 +301,13 @@ def bound_transitions(
     """The document's transition table with its expressions evaluated.
 
     Only the distributions are checked here; whether they fit the document's
-    states and support is for the automaton built from them to say.
+    states and support is for the automaton built from them to say. Each
+    distinct expression string is evaluated once, and records with the same
+    "to" map share one Distribution.
     """
     delta: dict[tuple[str, str], Distribution] = {}
+    value = functools.cache(lambda text: eval_expression(text, bindings))
+    shared: dict[tuple[tuple[str, str], ...], Distribution] = {}  # by "to" map
     for rec in doc.transitions:
         if not isinstance(rec.to, dict):
             raise ValidationError(
@@ -310,10 +317,10 @@ def bound_transitions(
         pair = (rec.source, rec.letter)
         if pair in delta:
             raise ValidationError(f"duplicate transition record for {pair!r}")
-        entries = {
-            t: eval_expression(expr, bindings) for t, expr in rec.to.items()
-        }
-        delta[pair] = Distribution(entries)
+        key = tuple(rec.to.items())
+        if key not in shared:
+            shared[key] = Distribution({t: value(expr) for t, expr in key})
+        delta[pair] = shared[key]
     return delta
 
 
@@ -327,48 +334,48 @@ def parse_automaton(
 
 
 def automaton_to_document(obj: Automaton, name: str | None = None) -> AutomatonDocument:
-    if isinstance(obj, BuchiAutomaton):
-        pa = obj.automaton
-        kind = "pba"
-        final = obj.accepting
-    elif isinstance(obj, ProbAutomaton):
-        pa = obj
-        kind = "pa"
-        final = obj.final
-    elif isinstance(obj, NumberlessAutomaton):
-        order = {s: i for i, s in enumerate(obj.states)}
-        records = []
-        for s in obj.states:
-            for c in obj.alphabet:
-                records.append(TransitionRecord(s, c, obj.targets(s, c)))
-        return AutomatonDocument(
-            kind="npa",
-            states=obj.states,
-            alphabet=obj.alphabet,
-            initial=obj.initial,
-            final=tuple(sorted(obj.final, key=order.__getitem__)),
-            transitions=tuple(records),
-            name=name,
-        )
-    else:
-        raise ValidationError(f"cannot serialize object of type {type(obj).__name__}")
-    order = {s: i for i, s in enumerate(pa.states)}
-    records = []
-    for s in pa.states:
-        for c in pa.alphabet:
-            d = pa.delta[(s, c)]
-            records.append(
-                TransitionRecord(s, c, {t: str(p) for t, p in d.items()})
-            )
-    return AutomatonDocument(
-        kind=kind,
-        states=pa.states,
-        alphabet=pa.alphabet,
-        initial=pa.initial,
-        final=tuple(sorted(final, key=order.__getitem__)),
-        transitions=tuple(records),
-        name=name,
-    )
+    """The document :func:`serialize_automaton` writes for ``obj``."""
+    return parse_document(serialize_automaton(obj, name))
+
+
+# The indentation json.dumps(indent=2) gives the items of a "to" value.
+_TO_PAD = " " * 6
+_RECORD = '{\n      "from": %s,\n      "letter": %s,\n      "to": %s\n    }'
+_quote = json.encoder.encode_basestring_ascii  # the escaper json.dumps uses
+
+
+def _block(brackets: str, items: list[str], pad: str) -> str:
+    """A JSON array or object of rendered ``items``, as ``json.dumps(indent=2)``
+    prints it on a line indented by ``pad``."""
+    if not items:
+        return brackets
+    inner = "\n" + pad + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + pad + brackets[1]
+
+
+def _to_value(to, rank) -> str:
+    """A "to" value: a target tuple, or a dict or Distribution of probabilities."""
+    if isinstance(to, tuple):
+        return _block("[]", [_quote(t) for t in sorted(to, key=rank)], _TO_PAD)
+    items = [_quote(t) + ": " + _quote(str(to[t])) for t in sorted(to, key=rank)]
+    return _block("{}", items, _TO_PAD)
+
+
+def _render(kind, name, params, states, alphabet, initial, final, records) -> str:
+    """The canonical document; ``records`` are the transitions, rendered and in order."""
+    fields = ['"kind": ' + _quote(kind)]
+    if name is not None:
+        fields.append('"name": ' + _quote(name))
+    if params:
+        fields.append('"params": ' + _block("[]", [_quote(p) for p in params], "  "))
+    fields += [
+        '"states": ' + _block("[]", [_quote(s) for s in states], "  "),
+        '"alphabet": ' + _block("[]", [_quote(c) for c in alphabet], "  "),
+        '"initial": ' + _quote(initial),
+        '"final": ' + _block("[]", [_quote(s) for s in final], "  "),
+        '"transitions": ' + _block("[]", records, "  "),
+    ]
+    return "{\n  " + ",\n  ".join(fields) + "\n}\n"
 
 
 def serialize_document(doc: AutomatonDocument) -> str:
@@ -381,31 +388,40 @@ def serialize_document(doc: AutomatonDocument) -> str:
             raise ValidationError(f"transition from unknown state {rec.source!r}")
         if rec.letter not in letter_order:
             raise ValidationError(f"transition on unknown letter {rec.letter!r}")
-    out: dict[str, object] = {"kind": doc.kind}
-    if doc.name is not None:
-        out["name"] = doc.name
-    if doc.params:
-        out["params"] = list(doc.params)
-    out["states"] = list(doc.states)
-    out["alphabet"] = list(doc.alphabet)
-    out["initial"] = doc.initial
-    out["final"] = sorted(doc.final, key=lambda s: order.get(s, len(order)))
-    records = sorted(
-        doc.transitions, key=lambda r: (order[r.source], letter_order[r.letter])
-    )
-    rendered = []
-    for rec in records:
-        if isinstance(rec.to, tuple):
-            to: object = sorted(rec.to, key=lambda t: order.get(t, len(order)))
-        else:
-            to = {
-                t: rec.to[t]
-                for t in sorted(rec.to, key=lambda t: order.get(t, len(order)))
-            }
-        rendered.append({"from": rec.source, "letter": rec.letter, "to": to})
-    out["transitions"] = rendered
-    return json.dumps(out, indent=2) + "\n"
+
+    def rank(t: str) -> int:  # targets not among the states sort last
+        return order.get(t, len(order))
+
+    records = [
+        _RECORD % (_quote(rec.source), _quote(rec.letter), _to_value(rec.to, rank))
+        for rec in sorted(doc.transitions, key=lambda r: (order[r.source], letter_order[r.letter]))
+    ]
+    return _render(doc.kind, doc.name, doc.params, doc.states, doc.alphabet,
+                   doc.initial, sorted(doc.final, key=rank), records)
 
 
 def serialize_automaton(obj: Automaton, name: str | None = None) -> str:
-    return serialize_document(automaton_to_document(obj, name=name))
+    """The canonical document of ``obj``, written straight from its table."""
+    if isinstance(obj, NumberlessAutomaton):
+        kind, pa, final, table = "npa", obj, obj.final, obj.support.table
+    elif isinstance(obj, BuchiAutomaton):
+        kind, pa, final, table = "pba", obj.automaton, obj.accepting, obj.automaton.delta
+    elif isinstance(obj, ProbAutomaton):
+        kind, pa, final, table = "pa", obj, obj.final, obj.delta
+    else:
+        raise ValidationError(f"cannot serialize object of type {type(obj).__name__}")
+    order = {s: i for i, s in enumerate(pa.states)}
+    quoted = {x: _quote(x) for x in pa.states + pa.alphabet}
+    # One rendering per target tuple, or per Distribution object: tables share
+    # their Diracs, and the table keeps each object (so its id) alive.
+    rendered: dict = {}
+    records = []
+    for s in pa.states:
+        for c in pa.alphabet:
+            to = table[(s, c)]
+            key = to if kind == "npa" else id(to)
+            if key not in rendered:
+                rendered[key] = _to_value(to, order.__getitem__)
+            records.append(_RECORD % (quoted[s], quoted[c], rendered[key]))
+    return _render(kind, name, (), pa.states, pa.alphabet, pa.initial,
+                   sorted(final, key=order.__getitem__), records)

@@ -44,26 +44,42 @@ def solve_sparse(rows: list[dict[int, int]], rhs: list[int]) -> list[tuple[int, 
     """Solve ``sum_j rows[i][j] * x[j] == rhs[i]`` (``rows[i]`` maps columns to
     integers) as ``x[j] = (num, den)`` in lowest terms with ``den > 0``.
 
-    Fraction-free Gauss-Jordan: each column's pivot is searched among the rows
-    not used yet, every other row is cross-multiplied against it and divided
-    by the gcd of its entries. :class:`DomainError` if the system is singular.
+    Fraction-free elimination: a column -> rows index finds each column's
+    pivot, the first unused row holding it, and the rows it is
+    cross-multiplied out of: the unused ones, then, in reverse pivot order,
+    the used ones (back substitution). Each new row is divided by the gcd of
+    its entries, and the work follows the nonzeros, so a banded system takes
+    linearly many row operations. :class:`DomainError` if it is singular.
     """
     n = len(rows)
     eqs = [_reduced({**row, n: b}) for row, b in zip(rows, rhs)]  # rhs is column n
-    used: set[int] = set()
+    holders: list[set[int]] = [set() for _ in range(n + 1)]  # column -> rows
+    for r, eq in enumerate(eqs):
+        for j in eq:
+            holders[j].add(r)
+
+    def eliminate(col: int, p: int, targets: list[int]) -> None:
+        pivot, a = eqs[p], eqs[p][col]
+        for r in targets:
+            c = eqs[r][col]
+            new = {j: a * x for j, x in eqs[r].items()}
+            for j, x in pivot.items():
+                new[j] = new.get(j, 0) - c * x
+            eqs[r] = new = _reduced(new)
+            for j in pivot:
+                (holders[j].add if j in new else holders[j].discard)(r)
+
+    free = set(range(n))
+    pivots: list[tuple[int, int]] = []
     for col in range(n):
-        p = next((r for r in range(n) if r not in used and col in eqs[r]), None)
+        p = min((r for r in holders[col] if r in free), default=None)
         if p is None:
             raise DomainError("singular linear system")
-        used.add(p)
-        pivot, a = eqs[p], eqs[p][col]
-        for r, eq in enumerate(eqs):
-            c = eq.get(col)
-            if c is not None and r != p:
-                new = {j: a * x for j, x in eq.items()}
-                for j, x in pivot.items():
-                    new[j] = new.get(j, 0) - c * x
-                eqs[r] = _reduced(new)
-    # Each row is now a * x[col] == b for its own pivot column.
-    out = {col: (eq.get(n, 0), eq[col]) for eq in eqs for col in eq if col < n}
-    return [(-b, -a) if a < 0 else (b, a) for _col, (b, a) in sorted(out.items())]
+        free.discard(p)
+        pivots.append((col, p))
+        eliminate(col, p, [r for r in holders[col] if r in free])
+    for col, p in reversed(pivots):
+        eliminate(col, p, [r for r in holders[col] if r != p])
+    # Each pivot row is now a * x[col] == b.
+    solved = [(eqs[p].get(n, 0), eqs[p][col]) for col, p in pivots]
+    return [(-b, -a) if a < 0 else (b, a) for b, a in solved]

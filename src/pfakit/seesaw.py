@@ -48,10 +48,7 @@ _SUPPORT: dict[tuple[str, str], tuple[str, ...]] = {
 
 def seesaw_npa() -> NumberlessAutomaton:
     """The seesaw support skeleton (no numbers)."""
-    triples = frozenset(
-        (s, a, t) for (s, a), targets in _SUPPORT.items() for t in targets
-    )
-    return NumberlessAutomaton(STATES, ALPHABET, INITIAL, triples, FINAL)
+    return NumberlessAutomaton.from_targets(STATES, ALPHABET, INITIAL, _SUPPORT, FINAL)
 
 
 def seesaw_delta(x: Fraction, y: Fraction) -> dict[tuple[str, str], Distribution]:

@@ -9,7 +9,7 @@ import pytest
 
 from oracles import seesaw_closed_form
 from pfakit import PropReport, parse_automaton, seesaw_pa, serialize_automaton
-from pfakit.cli import main, prop_battery
+from pfakit.cli import build_parser, main, prop_battery
 
 
 @pytest.fixture(scope="module")
@@ -289,6 +289,23 @@ class TestErrors:
         assert code == 2
         assert "longer than 4300 digits" in err
 
+    @pytest.mark.parametrize(
+        "expression",
+        ["1" * 5001 + "/2", "(" * 5000 + "1" + ")" * 5000, "x" * 5000, "1/2" + " " * 5000 + "junk"],
+        ids=["long-literal", "deep-nesting", "long-name", "trailing"],
+    )
+    def test_error_lines_stay_short(self, capsys, tmp_path, expression):
+        doc = {
+            "kind": "pa", "states": ["q0"], "alphabet": ["a"], "initial": "q0",
+            "final": [], "transitions": [{"from": "q0", "letter": "a", "to": {"q0": expression}}],
+        }
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "eval", "--automaton", str(path), "--word", "a")
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err) < 200
+
     def test_unknown_letter(self, capsys, seesaw_doc):
         code, _, err = run(
             capsys, "eval", "--automaton", seesaw_doc,
@@ -370,6 +387,35 @@ class TestErrors:
         )
         assert code == 2
         assert "numberless" in err
+
+
+class TestParser:
+    def test_built_once_and_bindings_stay_apart(self, capsys, seesaw_doc):
+        assert build_parser() is build_parser()
+        word = ["--word", "i a f"]
+        code, out, _ = run(capsys, "eval", "--automaton", seesaw_doc,
+                           "--set", "x=3/4", "--set", "y=1/4", *word)
+        assert (code, out) == (0, "3/8 = 0.375\n")
+        code, out, _ = run(capsys, "eval", "--automaton", seesaw_doc,
+                           "--set", "x=1/4", "--set", "y=3/4", *word)
+        assert (code, out) == (0, "1/8 = 0.125\n")
+        # Had the first calls' bindings leaked into the shared parser, y would be bound.
+        code, out, err = run(capsys, "eval", "--automaton", seesaw_doc, "--set", "x=1/2", *word)
+        assert (code, out) == (2, "")
+        assert "unbound parameter 'y'" in err
+        fresh = build_parser().parse_args(["eval", "--automaton", seesaw_doc, "--word", "a"])
+        assert fresh.set == []
+
+    @pytest.mark.parametrize("argv", [["--help"], ["eval", "--help"], ["sweep", "--help"]])
+    def test_help_unchanged(self, capsys, argv):
+        fresh = build_parser.__wrapped__()
+        with pytest.raises(SystemExit):
+            fresh.parse_args(argv)
+        want = capsys.readouterr().out
+        for _ in range(2):
+            with pytest.raises(SystemExit):
+                main(argv)
+            assert capsys.readouterr().out == want
 
 
 class TestBattery:

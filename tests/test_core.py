@@ -145,6 +145,56 @@ class TestAutomatonValidation:
             seesaw_support.targets("C1", "z")
 
 
+class TestTargetTables:
+    """NumberlessAutomaton.from_targets: the per-pair table the builders hand over."""
+
+    STATES, ALPHABET = ("q", "r", "s"), ("a", "b")
+
+    def table(self, **changes):
+        table = {(x, c): ("s", "q") if (x, c) == ("q", "a") else (x,)
+                 for x in self.STATES for c in self.ALPHABET}
+        table.update(changes.get("extra", {}))
+        for pair in changes.get("drop", ()):
+            del table[pair]
+        return table
+
+    def build(self, table):
+        return NumberlessAutomaton.from_targets(self.STATES, self.ALPHABET, "q", table, {"r"})
+
+    def test_equals_the_triple_construction(self):
+        npa = self.build(self.table())
+        triples = frozenset((x, c, t) for (x, c), ts in self.table().items() for t in ts)
+        assert npa == NumberlessAutomaton(self.STATES, self.ALPHABET, "q", triples, {"r"})
+        assert npa.support == triples and triples == npa.support
+        assert hash(npa.support) == hash(triples)
+        assert len(npa.support) == len(triples) == 7
+        assert set(npa.support) == triples
+        assert ("q", "a", "s") in npa.support
+        assert ("q", "a", "r") not in npa.support
+        assert ("q", "a") not in npa.support and "qas" not in npa.support
+
+    def test_targets_sorted_and_deduplicated(self):
+        npa = self.build(self.table(extra={("r", "b"): ["s", "q", "s"]}))
+        assert npa.targets("q", "a") == ("q", "s")
+        assert npa.targets("r", "b") == ("q", "s")
+        assert len(npa.support) == 8
+
+    @pytest.mark.parametrize(
+        "changes,message",
+        [
+            ({"extra": {("ghost", "a"): ("q",)}}, "unknown state"),
+            ({"extra": {("q", "a"): ("ghost",)}}, "unknown state"),
+            ({"extra": {("q", "z"): ("q",)}}, "unknown letter"),
+            ({"drop": [("s", "b")]}, r"no support for \('s', 'b'\)"),
+            ({"extra": {("s", "b"): ()}}, r"no support for \('s', 'b'\)"),
+        ],
+        ids=["unknown-source", "unknown-target", "unknown-letter", "missing-pair", "empty-pair"],
+    )
+    def test_still_validated(self, changes, message):
+        with pytest.raises(ValidationError, match=message):
+            self.build(self.table(**changes))
+
+
 class TestEvaluation:
     def test_empty_word_accepts_iff_initial_final(self, tiny_pa, seesaw_fast):
         assert accept_prob(tiny_pa, []) == 0

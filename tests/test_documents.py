@@ -1,11 +1,18 @@
+import hashlib
 import json
 from fractions import Fraction as F
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pfakit.documents
 from pfakit import (
+    AutomatonDocument,
     BuchiAutomaton,
+    Distribution,
+    TransitionRecord,
     InconsistentSupport,
     NumberlessAutomaton,
     ParseError,
@@ -16,15 +23,19 @@ from pfakit import (
     buchi_reduction,
     build_simulation,
     document_to_automaton,
+    dirac,
     eval_expression,
     fair_coin,
+    instantiate_simulation,
     parse_automaton,
     parse_document,
+    random_simple_pa,
     seesaw_npa,
     seesaw_pa,
     serialize_automaton,
     serialize_document,
 )
+from pfakit.documents import bound_transitions
 
 
 def seesaw_text() -> str:
@@ -76,6 +87,30 @@ class TestExpressions:
     def test_nesting_up_to_the_bound(self):
         assert eval_expression("(" * 50 + "-" * 50 + "1/2" + ")" * 50) == F(1, 2)
 
+    @pytest.mark.parametrize(
+        "text,bindings",
+        [
+            ("1" * 5001 + "/2", {}),
+            ("(" * 5000 + "1" + ")" * 5000, {}),
+            ("-" * 5000 + "1", {}),
+            ("1/2 " + "+ 1 " * 3000 + "junk", {}),
+            ("x" * 5000, {}),
+            ("1 + " + "y" * 5000, {"x": F(1)}),
+            (" " * 5000, {}),
+        ],
+        ids=["long-literal", "deep-parens", "deep-minus", "trailing", "long-name", "unbound", "blank"],
+    )
+    def test_error_messages_stay_short(self, text, bindings):
+        with pytest.raises(ValidationError) as info:
+            eval_expression(text, bindings)
+        assert len(str(info.value)) < 200
+
+    def test_short_expressions_are_quoted_whole(self):
+        with pytest.raises(ValidationError, match=r"bad expression '1/2 junk' at offset 4"):
+            eval_expression("1/2 junk")
+        with pytest.raises(ValidationError, match=r"unbound parameter 'z' in expression 'z\+1'"):
+            eval_expression("z+1")
+
     def test_integer_literals_are_bounded(self):
         # One digit past the bound; Python's int() would raise a bare ValueError.
         with pytest.raises(ValidationError, match="longer than 4300 digits"):
@@ -126,6 +161,19 @@ class TestParsing:
         doc["kind"] = "npa"
         npa = document_to_automaton(parse_document(json.dumps(doc)))
         assert isinstance(npa, NumberlessAutomaton)
+
+    def test_npa_records_for_one_pair_are_merged(self):
+        doc = {
+            "kind": "npa", "states": ["q", "r"], "alphabet": ["a"], "initial": "q",
+            "final": [], "transitions": [
+                {"from": "q", "letter": "a", "to": ["r"]},
+                {"from": "r", "letter": "a", "to": {"r": "1"}},
+                {"from": "q", "letter": "a", "to": ["q"]},
+            ],
+        }
+        npa = document_to_automaton(parse_document(json.dumps(doc)))
+        assert npa.targets("q", "a") == ("q", "r")
+        assert npa.support == {("q", "a", "q"), ("q", "a", "r"), ("r", "a", "r")}
 
     def test_bad_sum_is_validation_error(self):
         text = seesaw_text().replace('"1/2"', '"1/3"', 1)
@@ -208,3 +256,218 @@ class TestRoundTrips:
 
     def test_trailing_newline(self, tiny_pa):
         assert serialize_automaton(tiny_pa).endswith("}\n")
+
+
+# --- the canonical writer ------------------------------------------------------
+
+
+def reference_serialize_document(doc):
+    """The json.dumps(indent=2) renderer the template writer replaced, kept
+    here as the writer's reference."""
+    order = {s: i for i, s in enumerate(doc.states)}
+    letter_order = {c: i for i, c in enumerate(doc.alphabet)}
+    out = {"kind": doc.kind}
+    if doc.name is not None:
+        out["name"] = doc.name
+    if doc.params:
+        out["params"] = list(doc.params)
+    out["states"] = list(doc.states)
+    out["alphabet"] = list(doc.alphabet)
+    out["initial"] = doc.initial
+    out["final"] = sorted(doc.final, key=lambda s: order.get(s, len(order)))
+    records = sorted(
+        doc.transitions, key=lambda r: (order[r.source], letter_order[r.letter])
+    )
+    rendered = []
+    for rec in records:
+        if isinstance(rec.to, tuple):
+            to = sorted(rec.to, key=lambda t: order.get(t, len(order)))
+        else:
+            to = {
+                t: rec.to[t]
+                for t in sorted(rec.to, key=lambda t: order.get(t, len(order)))
+            }
+        rendered.append({"from": rec.source, "letter": rec.letter, "to": to})
+    out["transitions"] = rendered
+    return json.dumps(out, indent=2) + "\n"
+
+
+def reference_document(obj, name=None):
+    """The document of an automaton, built record by record from its table."""
+    if isinstance(obj, NumberlessAutomaton):
+        kind, pa, final = "npa", obj, obj.final
+        to = obj.targets
+    else:
+        kind, pa = ("pba", obj.automaton) if isinstance(obj, BuchiAutomaton) else ("pa", obj)
+        final = obj.accepting if kind == "pba" else obj.final
+
+        def to(s, c):
+            return {t: str(p) for t, p in pa.delta[(s, c)].items()}
+
+    order = {s: i for i, s in enumerate(pa.states)}
+    records = [TransitionRecord(s, c, to(s, c)) for s in pa.states for c in pa.alphabet]
+    final = sorted(final, key=order.__getitem__)
+    return AutomatonDocument(kind, pa.states, pa.alphabet, pa.initial, final, records, name)
+
+
+# Quotes, backslashes, control characters, DEL, non-ASCII and astral characters
+# (escaped as surrogate pairs), plus anything else hypothesis draws.
+tricky = st.one_of(st.sampled_from('"\\\x00\x08\x1f\x7fé→\U0001f600 q/'), st.characters())
+ids = st.text(tricky, min_size=1, max_size=4)
+texts = st.text(tricky, max_size=4)
+
+
+@st.composite
+def documents(draw):
+    """Well-formed documents whose transitions may name unknown targets."""
+    kind = draw(st.sampled_from(("pa", "npa", "pba")))
+    states = draw(st.lists(ids, min_size=1, max_size=4, unique=True))
+    alphabet = draw(st.lists(ids, min_size=1, max_size=3, unique=True))
+    targets = st.sampled_from(states) | ids  # drawn ids are usually no state
+    records = []
+    for _ in range(draw(st.integers(0, 6))):
+        source, letter = draw(st.sampled_from(states)), draw(st.sampled_from(alphabet))
+        if kind == "npa" and draw(st.booleans()):
+            to = draw(st.lists(targets, max_size=3))
+        else:
+            to = draw(st.dictionaries(targets, texts, max_size=3))
+        records.append(TransitionRecord(source, letter, to))
+    return AutomatonDocument(
+        kind,
+        states,
+        alphabet,
+        draw(texts),
+        draw(st.lists(targets, max_size=3)),
+        records,
+        draw(st.none() | texts),
+        draw(st.lists(texts, max_size=2)),
+    )
+
+
+@st.composite
+def automata(draw):
+    """pa, pba and npa objects over tricky ids; some Diracs shared, some not."""
+    kind = draw(st.sampled_from(("pa", "npa", "pba")))
+    states = draw(st.lists(ids, min_size=1, max_size=4, unique=True))
+    alphabet = draw(st.lists(ids, min_size=1, max_size=3, unique=True))
+    final = draw(st.frozensets(st.sampled_from(states)))
+    hits = st.lists(st.sampled_from(states), min_size=1, max_size=3, unique=True)
+    if kind == "npa":
+        table = {(s, c): draw(hits) for s in states for c in alphabet}
+        return NumberlessAutomaton.from_targets(states, alphabet, states[0], table, final)
+    shared = {s: dirac(s) for s in states}
+    delta = {}
+    for s in states:
+        for c in alphabet:
+            ts = draw(hits)
+            if len(ts) == 1 and draw(st.booleans()):
+                delta[(s, c)] = shared[ts[0]]
+            else:
+                weights = [draw(st.integers(1, 5)) for _ in ts]
+                delta[(s, c)] = Distribution({t: F(w, sum(weights)) for t, w in zip(ts, weights)})
+    pa = ProbAutomaton(states, alphabet, states[0], delta, final)
+    return BuchiAutomaton(pa, final) if kind == "pba" else pa
+
+
+class TestWriter:
+    @given(documents())
+    @settings(max_examples=150, deadline=None)
+    def test_document_matches_json_dumps(self, doc):
+        assert serialize_document(doc) == reference_serialize_document(doc)
+
+    @given(automata(), st.none() | texts)
+    @settings(max_examples=200, deadline=None)
+    def test_automaton_matches_json_dumps(self, obj, name):
+        text = serialize_automaton(obj, name=name)
+        assert text == reference_serialize_document(reference_document(obj, name))
+        assert automaton_to_document(obj, name) == reference_document(obj, name)
+        assert text.isascii()
+
+    def test_empty_collections(self):
+        doc = AutomatonDocument(
+            "npa", ("q",), ("a",), "q", (), [TransitionRecord("q", "a", []),
+                                            TransitionRecord("q", "a", {})],
+        )
+        assert serialize_document(doc) == reference_serialize_document(doc)
+        assert '"final": [],' in serialize_document(doc)
+        assert '"to": []' in serialize_document(doc) and '"to": {}' in serialize_document(doc)
+        empty = AutomatonDocument("pa", ("q",), ("a",), "q", (), (), name="", params=())
+        assert serialize_document(empty) == reference_serialize_document(empty)
+        assert '"transitions": []\n}\n' in serialize_document(empty)
+
+    @pytest.mark.parametrize(
+        "record,message",
+        [
+            (TransitionRecord("ghost", "a", {"q": "1"}), "unknown state 'ghost'"),
+            (TransitionRecord("q", "z", {"q": "1"}), "unknown letter 'z'"),
+        ],
+        ids=["unknown-source", "unknown-letter"],
+    )
+    def test_unknown_source_or_letter_rejected(self, record, message):
+        doc = AutomatonDocument("pa", ("q",), ("a",), "q", (), [record])
+        with pytest.raises(ValidationError, match=message):
+            serialize_document(doc)
+
+    # sha256 of serialize_automaton output, recorded with the json.dumps renderer.
+    PINNED = {
+        0: ("697c469825b706832d5e0311102e4a31653be535395faebc2189b82ff63c8db8",
+            "17e357699e2f48ed9a9180cff6863771508e4fcc9b8bcf7b5c1846092ef4db40",
+            "082289fc457f657b29fb037bec57760274c0f67656d1493f4af4a04931287a16",
+            "6fa194e8027d73420981f4e7afb5705b2bd83b8f0eafac68b4d7f45aadc6c3b8"),
+        1: ("0ea3f25dd898e09807d281fe12fa0d9b17cbe6308c4a9c314f067502a8683484",
+            "39d23b7a3740583c684bdb1b6c65662cc4414be370854ee152e05b19945a0b91",
+            "0b499b3e01e7212114cff512a72bf3c6992fcadff8e2c1f14b16e2f10fce779a",
+            "e9c9eb6cfd6936e78e97621b40fdb20800c23aadd40427e8b9b07323a468f7ce"),
+        2: ("260d86405839d72db380def38bf1a82b43f22d70d53c58683ecbd97b27d6b664",
+            "54125d5855e8ac0c04a625bdadc646f10e275576fecb072964797a093c95e0e5",
+            "3e7268085868e66dcfe1b21d7f4b89af4f65678bbca43564e9b495021f51e216",
+            "d1f7f063180b4ab24de6c19fa976f5e74fb6d06a35c5220fef58f3d54c57cb4a"),
+        3: ("ace998210cccc39ea8b7bf86c4976714a79f1c15e1083c81828d44b49cb13d89",
+            "dbcc0a2ca5eca2ab8877dc129c79c615797f7b054d1b6f7f650b9fd3ecc376ca",
+            "f03c75573d853540135ac5dbfee73b2ecd17fdf92bd9de58de5cafb28117b4a3",
+            "947a7bab9673cff6433cb60c4ff1ffc2545beb8b841878ff7aac133202716b80"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_pinned_digests(self, seed):
+        a = random_simple_pa(seed, 2, 2)
+        sim = build_simulation(a)
+        texts = (
+            serialize_automaton(sim.npa, name="simulation"),
+            serialize_automaton(instantiate_simulation(sim, F(1, 3), F(1, 2))),
+            serialize_automaton(fair_coin(a, F(2, 3)).automaton),
+            serialize_automaton(buchi_reduction(a), name="restart"),
+        )
+        got = tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts)
+        assert got == self.PINNED[seed]
+
+
+class TestLoader:
+    def test_each_expression_evaluated_once(self, monkeypatch):
+        seen = []
+
+        def counting(text, bindings=None):
+            seen.append(text)
+            return eval_expression(text, bindings)
+
+        monkeypatch.setattr(pfakit.documents, "eval_expression", counting)
+        doc = parse_document(seesaw_text())
+        delta = bound_transitions(doc, {"x": F(3, 4), "y": F(1, 4)})
+        assert len(seen) == len(set(seen))
+        assert set(seen) == {e for rec in doc.transitions for e in rec.to.values()}
+        assert delta == seesaw_pa(F(3, 4), F(1, 4)).delta
+
+    def test_equal_maps_share_one_distribution(self):
+        doc = parse_document(seesaw_text())
+        delta = bound_transitions(doc, {"x": F(1, 2), "y": F(1, 2)})
+        maps = {tuple(rec.to.items()) for rec in doc.transitions}
+        assert len({id(d) for d in delta.values()}) == len(maps) < len(delta)
+        assert delta[("C1", "a")] is delta[("C1", "f")]
+
+    def test_first_bad_record_is_reported(self):
+        doc = json.loads(seesaw_text())
+        doc["transitions"][2]["to"] = {"C1": "1/0"}
+        doc["transitions"][5]["to"] = {"C1": "1/0"}
+        doc["transitions"][4]["to"] = {"C2": "q"}
+        with pytest.raises(ValidationError, match=r"'1/0' at offset 3: division by zero"):
+            bound_transitions(parse_document(json.dumps(doc)), {"x": F(1, 2), "y": F(1, 2)})

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import raw_after
 from pfakit import (
@@ -144,3 +146,67 @@ class TestSolveLinear:
     def test_solution_in_lowest_terms(self):
         # -6 x = 4 and 4 y - 2 x = 0: x = -2/3, y = -1/3, denominators positive.
         assert solve_sparse([{0: -6}, {0: -2, 1: 4}], [4, 0]) == [(-2, 3), (-1, 3)]
+
+
+def fraction_gauss_jordan(rows, rhs):
+    """Dense Fraction Gauss-Jordan, the reference for solve_sparse; None if singular."""
+    n = len(rows)
+    m = [[F(row.get(j, 0)) for j in range(n)] + [F(b)] for row, b in zip(rows, rhs)]
+    for col in range(n):
+        p = next((r for r in range(col, n) if m[r][col]), None)
+        if p is None:
+            return None
+        m[col], m[p] = m[p], m[col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                m[r] = [x - m[r][col] * y for x, y in zip(m[r], m[col])]
+    return [m[i][n] for i in range(n)]
+
+
+@st.composite
+def sparse_systems(draw):
+    n = draw(st.integers(1, 8))
+    entry = st.integers(-6, 6)
+    rows = []
+    for i in range(n):
+        cols = draw(st.sets(st.integers(0, n - 1), max_size=3))
+        if draw(st.integers(0, 9)):  # usually a diagonal entry, so most draws are nonsingular
+            cols.add(i)
+        rows.append({j: draw(entry) for j in sorted(cols)})
+    return rows, [draw(entry) for _ in range(n)]
+
+
+class TestSolveSparseDifferential:
+    @given(sparse_systems())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_gauss_jordan(self, system):
+        rows, rhs = system
+        want = fraction_gauss_jordan(rows, rhs)
+        if want is None:
+            with pytest.raises(DomainError, match="singular"):
+                solve_sparse(rows, rhs)
+        else:
+            got = solve_sparse(rows, rhs)
+            assert [F(num, den) for num, den in got] == want
+            assert all(den > 0 and math.gcd(num, den) == 1 for num, den in got)
+
+    @given(sparse_systems(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_dependent_row_is_singular(self, system, data):
+        # Replace one row by a combination of the others: the matrix is singular
+        # whatever the right-hand side says.
+        rows, rhs = system
+        n = len(rows)
+        k = data.draw(st.integers(0, n - 1))
+        coef = [data.draw(st.integers(-3, 3)) if i != k else 0 for i in range(n)]
+        rows[k] = {j: sum(c * rows[i].get(j, 0) for i, c in enumerate(coef)) for j in range(n)}
+        with pytest.raises(DomainError, match="singular"):
+            solve_sparse(rows, rhs)
+
+    def test_long_banded_system(self):
+        # x[i] - x[i+1] = -1 and x[n-1] = n: x[i] = i + 1, on 2000 rows of at
+        # most two entries; the back substitution does all the work.
+        n = 2000
+        rows = [{i: 1, i + 1: -1} for i in range(n - 1)] + [{n - 1: 1}]
+        assert solve_sparse(rows, [-1] * (n - 1) + [n]) == [(i + 1, 1) for i in range(n)]
