@@ -31,10 +31,12 @@ from .core import (
 from .constructions import (
     BuchiAutomaton,
     NEXT_WORD,
+    _probe_skeleton,
     buchi_reduction,
     build_simulation,
     encode_word,
     fair_coin,
+    fairness_dfa,
     hat,
     instantiate_simulation,
 )
@@ -183,9 +185,8 @@ def _cmd_simulate_instantiate(args) -> int:
 
 
 def _cmd_hat(args) -> int:
-    pa = _load_pa(args)
-    sim = build_simulation(pa)
-    print(_word_out(hat(_word(args.word), sim.state_order)))
+    skel = _probe_skeleton(_load_pa(args))  # build_simulation's state order and checks
+    print(_word_out(hat(_word(args.word), skel.states)))
     return 0
 
 
@@ -195,9 +196,9 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_fairness_dfa(args) -> int:
-    pa = _load_pa(args)
-    sim = build_simulation(pa)
-    _emit(args, serialize_automaton(sim.checker, name="fairness-checker"))
+    skel = _probe_skeleton(_load_pa(args))
+    checker = fairness_dfa(skel.alphabet, skel.states)
+    _emit(args, serialize_automaton(checker, name="fairness-checker"))
     return 0
 
 

@@ -10,7 +10,10 @@ Three constructions live here, plus their word-level encodings:
 * :func:`build_simulation` compresses the whole biased-coin family into one
   support automaton with a single probabilistic transition. Probed words
   (:func:`hat`) drive it through check/apply micro-steps; an embedded
-  deterministic checker (:func:`fairness_dfa`) polices the probe format.
+  deterministic checker polices the probe format. The builder writes the
+  checker's moves straight into the support automaton's target table, so the
+  checker as an automaton of its own (:func:`fairness_dfa`,
+  ``SimulationNPA.checker``) is built only when asked for.
 * :func:`buchi_reduction` lifts a finite-word automaton to an infinite-word
   one by adding a restart letter ``#`` from accepting states.
 """
@@ -19,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import product, repeat
 from typing import Mapping, Sequence
 
 from .core import (
@@ -41,6 +46,8 @@ SHARP = "#"
 DOLLAR = "$"
 NEXT_TRANSITION = "next_transition"
 NEXT_WORD = "next_word"
+# Most letters encode_word writes: a 1 MB word on the command line.
+MAX_ENCODED_LETTERS = 1_000_000
 
 
 def check_letter(b: str, q: str) -> str:
@@ -189,9 +196,15 @@ def fair_coin(a: ProbAutomaton, lam: Fraction) -> FairCoinOutput:
 
 
 def encode_word(word: Sequence[str], k: int) -> list[str]:
-    """Pad each letter with 2k sharps: the word the coin automaton expects."""
+    """Pad each letter with 2k sharps: the word the coin automaton expects.
+
+    Raises DomainError, before any work, when the padded word would be longer
+    than ``MAX_ENCODED_LETTERS``.
+    """
     if k < 0:
         raise DomainError(f"k must be >= 0, got {k}")
+    if (size := len(word) * (2 * k + 1)) > MAX_ENCODED_LETTERS:
+        raise DomainError(f"encoding gives {size} letters, more than {MAX_ENCODED_LETTERS}")
     out: list[str] = []
     for a in word:
         out.append(a)
@@ -259,22 +272,12 @@ def sim_alphabet(b_alphabet: Sequence[str], order: Sequence[str]) -> tuple[str, 
     return tuple(letters)
 
 
-def fairness_dfa(b_alphabet: Sequence[str], order: Sequence[str]) -> ProbAutomaton:
-    """The deterministic checker for well-formed probe words.
-
-    Accepts exactly the words of the shape (hat(u) + [next_word])* over the
-    probe alphabet: per base letter a full check/dollar/apply sweep through
-    ``order`` ending in next_transition, with groups of letters closed off by
-    next_word. States are 0/1 deterministic; the start state is the single
-    accepting state. Any deviation falls into a dead sink.
-    """
-    order = _check_order(order)
-    b_alphabet = tuple(b_alphabet)
-    if len(set(b_alphabet)) != len(b_alphabet):
-        raise ValidationError("duplicate letters in the base alphabet")
-    alphabet = sim_alphabet(b_alphabet, order)
+def _checker(
+    b_alphabet: tuple[str, ...], order: tuple[str, ...]
+) -> tuple[list[str], dict[tuple[str, str], str], str]:
+    """The checker's states (start state first), its moves and its sink, which
+    every (state, letter) pair without a move goes to."""
     n = len(order)
-
     start = "D:start"
     boundary = "D:end"
     sink = "D:sink"
@@ -308,13 +311,27 @@ def fairness_dfa(b_alphabet: Sequence[str], order: Sequence[str]) -> ProbAutomat
             else:
                 goto[(want_apply[b][i], apply_letter(b, order[i]))] = want_next[b]
         goto[(want_next[b], NEXT_TRANSITION)] = boundary
+    return states, goto, sink
 
-    delta: dict[tuple[str, str], Distribution] = {}
+
+def fairness_dfa(b_alphabet: Sequence[str], order: Sequence[str]) -> ProbAutomaton:
+    """The deterministic checker for well-formed probe words.
+
+    Accepts exactly the words of the shape (hat(u) + [next_word])* over the
+    probe alphabet: per base letter a full check/dollar/apply sweep through
+    ``order`` ending in next_transition, with groups of letters closed off by
+    next_word. States are 0/1 deterministic; the start state is the single
+    accepting state. Any deviation falls into a dead sink.
+    """
+    order = _check_order(order)
+    b_alphabet = tuple(b_alphabet)
+    if len(set(b_alphabet)) != len(b_alphabet):
+        raise ValidationError("duplicate letters in the base alphabet")
+    alphabet = sim_alphabet(b_alphabet, order)
+    states, goto, sink = _checker(b_alphabet, order)
     dirac_cache = {s: dirac(s) for s in states}
-    for s in states:
-        for c in alphabet:
-            delta[(s, c)] = dirac_cache[goto.get((s, c), sink)]
-    return ProbAutomaton(tuple(states), alphabet, start, delta, frozenset({start}))
+    delta = {(s, c): dirac_cache[goto.get((s, c), sink)] for s in states for c in alphabet}
+    return ProbAutomaton(tuple(states), alphabet, states[0], delta, frozenset(states[:1]))
 
 
 def run_deterministic(dfa: ProbAutomaton, word: Sequence[str]) -> str:
@@ -341,7 +358,10 @@ class SimulationNPA:
 
     ``npa`` has exactly one probabilistic (multi-target) pair: (coin, $) with
     support {heads, tails, skip}. ``state_order`` is the coin-automaton state
-    enumeration that :func:`hat` and the embedded checker agree on.
+    enumeration that :func:`hat` and the embedded checker agree on. The
+    checker's moves are rows of ``npa``'s own table, read from
+    ``checker_initial``; :attr:`checker` is the checker as an automaton of its
+    own, built on first use.
     """
 
     npa: NumberlessAutomaton
@@ -354,12 +374,40 @@ class SimulationNPA:
     tails: str
     skip: str
     wait: str
-    checker: ProbAutomaton
     checker_initial: str
     checker_sink: str
 
     def center(self) -> tuple[str, str, str, str, str]:
         return (self.coin, self.heads, self.tails, self.skip, self.wait)
+
+    @cached_property
+    def checker(self) -> ProbAutomaton:
+        """The embedded checker: ``fairness_dfa(b_alphabet, state_order)``."""
+        return fairness_dfa(self.b_alphabet, self.state_order)
+
+    def well_formed(self, word: Sequence[str]) -> bool:
+        """``dfa_accepts(self.checker, word)``, walked on the npa's own table."""
+        table = self.npa.support.table  # type: ignore[attr-defined]
+        state = self.checker_initial
+        for c in word:
+            try:
+                (state,) = table[(state, c)]
+            except KeyError:
+                raise UnknownLetter(f"letter {c!r} not in the checker's alphabet") from None
+        return state == self.checker_initial  # the checker's one accepting state
+
+
+def _probe_skeleton(a: ProbAutomaton) -> _CoinSkeleton:
+    """The coin skeleton of ``a``, with ids that probe letters can hold: its
+    states are the simulation's state order, its letters the base alphabet."""
+    skel = _coin_skeleton(a)
+    for q in skel.states:
+        if any(ch in q for ch in "(),"):
+            raise ValidationError(f"state id {q!r} may not contain '(', ')' or ','")
+    for b in skel.alphabet:
+        if any(ch in b for ch in "(),"):
+            raise ValidationError(f"letter {b!r} may not contain '(', ')' or ','")
+    return skel
 
 
 def build_simulation(a: ProbAutomaton) -> SimulationNPA:
@@ -370,18 +418,14 @@ def build_simulation(a: ProbAutomaton) -> SimulationNPA:
     through the single probabilistic coin toss at (coin, $); next_transition
     returns committed mass to the left copy; next_word settles accounts
     (accepting left mass enters the checker's accepting track, the rest dies,
-    waiting mass restarts). Undrawn combinations stay put.
+    waiting mass restarts). Undrawn combinations stay put. Rows are written
+    straight into the target table, idle rows in bulk.
     """
-    skel = _coin_skeleton(a)
+    skel = _probe_skeleton(a)
     order = skel.states
-    for q in order:
-        if any(ch in q for ch in "(),"):
-            raise ValidationError(f"state id {q!r} may not contain '(', ')' or ','")
-    for b in skel.alphabet:
-        if any(ch in b for ch in "(),"):
-            raise ValidationError(f"letter {b!r} may not contain '(', ')' or ','")
     alphabet = sim_alphabet(skel.alphabet, order)
-    checker = fairness_dfa(skel.alphabet, order)
+    checker_states, moves, sink = _checker(skel.alphabet, order)
+    start = checker_states[0]
 
     left = {q: f"L:{q}" for q in order}
     right = {q: f"R:{q}" for q in order}
@@ -390,58 +434,38 @@ def build_simulation(a: ProbAutomaton) -> SimulationNPA:
         [left[q] for q in order]
         + [right[q] for q in order]
         + [coin, heads, tails, skip, wait]
-        + list(checker.states)
+        + checker_states
     )
 
     table: dict[tuple[str, str], tuple[str, ...]] = {}
-
-    def put(s: str, c: str, *targets: str) -> None:
-        table[(s, c)] = targets
-
-    # Left copies.
+    # Left copies: check(_, q) hands q's mass to the coin, next_word settles it.
     for q in order:
-        for c in alphabet:
-            kind = parse_sim_letter(c)
-            if kind[0] == "check" and kind[2] == q:
-                put(left[q], c, coin)
-            elif kind[0] == "next_word":
-                put(left[q], c, "D:start" if q in skel.final else "D:sink")
-            else:
-                put(left[q], c, left[q])
+        table.update(zip(product((left[q],), alphabet), repeat((left[q],))))
+        table.update(((left[q], check_letter(b, q)), (coin,)) for b in skel.alphabet)
+        table[(left[q], NEXT_WORD)] = (start,) if q in skel.final else (sink,)
     # Right copies: only next_transition moves them back.
     for q in order:
-        for c in alphabet:
-            if c == NEXT_TRANSITION:
-                put(right[q], c, left[q])
-            else:
-                put(right[q], c, right[q])
-    # Center.
+        table.update(zip(product((right[q],), alphabet), repeat((right[q],))))
+        table[(right[q], NEXT_TRANSITION)] = (left[q],)
+    # Center: each probe letter is classified once.
     for c in alphabet:
         kind = parse_sim_letter(c)
-        if c == DOLLAR:
-            put(coin, c, heads, tails, skip)
-        else:
-            put(coin, c, coin)
+        table[(coin, c)] = (heads, tails, skip) if c == DOLLAR else (coin,)
         if kind[0] == "apply":
-            b, q = kind[1], kind[2]
-            t_lam, t_other = skel.branch[(q, b)]
-            put(heads, c, right[t_lam])
-            put(tails, c, right[t_other])
-            put(skip, c, wait)
+            t_lam, t_other = skel.branch[(kind[2], kind[1])]
+            table[(heads, c)] = (right[t_lam],)
+            table[(tails, c)] = (right[t_other],)
+            table[(skip, c)] = (wait,)
         else:
-            put(heads, c, heads)
-            put(tails, c, tails)
-            put(skip, c, skip)
-        if c == NEXT_WORD:
-            put(wait, c, left[skel.initial])
-        else:
-            put(wait, c, wait)
-    # The checker runs itself on every letter.
-    table.update((pair, tuple(move)) for pair, move in checker.delta.items())
+            table[(heads, c)] = (heads,)
+            table[(tails, c)] = (tails,)
+            table[(skip, c)] = (skip,)
+        table[(wait, c)] = (left[skel.initial],) if c == NEXT_WORD else (wait,)
+    # The checker runs itself on every letter: its moves, and the sink elsewhere.
+    table.update(zip(product(checker_states, alphabet), repeat((sink,))))
+    table.update((pair, (t,)) for pair, t in moves.items())
 
-    npa = NumberlessAutomaton.from_targets(
-        states, alphabet, left[skel.initial], table, {"D:start"}
-    )
+    npa = NumberlessAutomaton.from_targets(states, alphabet, left[skel.initial], table, {start})
     return SimulationNPA(
         npa=npa,
         state_order=order,
@@ -453,9 +477,8 @@ def build_simulation(a: ProbAutomaton) -> SimulationNPA:
         tails=tails,
         skip=skip,
         wait=wait,
-        checker=checker,
-        checker_initial="D:start",
-        checker_sink="D:sink",
+        checker_initial=start,
+        checker_sink=sink,
     )
 
 

@@ -45,6 +45,8 @@ import random
 from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, product
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -299,17 +301,23 @@ class NumberlessAutomaton:
             grouped = {}
             for s, a, t in self.support:
                 grouped.setdefault((s, a), []).append(t)
-        letter_set = frozenset(self.alphabet)
-        table: dict[tuple[str, str], tuple[str, ...]] = {}
-        for (s, a), hits in grouped.items():
-            for t in hits:
-                if s not in order or t not in order or a not in letter_set:
-                    bad = "letter" if s in order and t in order else "state"
-                    raise ValidationError(f"support triple {(s, a, t)!r} uses unknown {bad}")
-            if len(hits) > 1:
-                table[(s, a)] = tuple(sorted(set(hits), key=order.__getitem__))
-            elif hits:
-                table[(s, a)] = tuple(hits)
+        table = dict(grouped)
+        # Checked in bulk; the walk only runs to name the first offender.
+        state_set, letter_set = frozenset(order), frozenset(self.alphabet)
+        if not (state_set.issuperset(map(itemgetter(0), table))
+                and letter_set.issuperset(map(itemgetter(1), table))
+                and state_set.issuperset(chain.from_iterable(table.values()))):
+            for (s, a), hits in table.items():
+                for t in hits:
+                    if s not in order or t not in order or a not in letter_set:
+                        bad = "letter" if s in order and t in order else "state"
+                        raise ValidationError(f"support triple {(s, a, t)!r} uses unknown {bad}")
+        # Only lists and multi-target or empty entries need normalising.
+        for pair in [p for p, hits in table.items() if len(hits) != 1 or hits.__class__ is not tuple]:
+            if hits := table[pair]:
+                table[pair] = tuple(sorted(set(hits), key=order.__getitem__))
+            else:
+                del table[pair]
         if len(table) != len(self.states) * len(self.alphabet):
             s, a = next((s, a) for s in self.states for a in self.alphabet if (s, a) not in table)
             raise ValidationError(f"no support for ({s!r}, {a!r}); automata must be total")
@@ -382,17 +390,18 @@ class Skeleton:
         self.states, self.alphabet = npa.states, npa.alphabet
         self.initial, self.final = npa.initial, npa.final
         self.open = {(s, a): frozenset(npa.targets(s, a)) for s, a in sorted(open_pairs)}
-        self.index = {s: i for i, s in enumerate(npa.states)}
-        target_map = npa.support.table  # type: ignore[attr-defined]
-        rows: dict[str, list[int]] = {a: [] for a in npa.alphabet}
-        for s in npa.states:
-            for a in npa.alphabet:
-                hits = target_map[(s, a)]
-                if len(hits) != 1 and (s, a) not in self.open:
-                    raise ValidationError(f"unexpected probabilistic pair ({s!r}, {a!r})")
-                rows[a].append(self.index[hits[0]])
-        self.rows = rows
-        self.diracs = [dirac(s) for s in npa.states]
+        self.index = index = {s: i for i, s in enumerate(npa.states)}
+        table = npa.support.table  # type: ignore[attr-defined]
+        # Every pair has a target, so the targets beyond one per pair are the
+        # open pairs' exactly when no other pair has several.
+        if len(npa.support) - len(table) != sum(len(t) - 1 for t in self.open.values()):
+            s, a = next(pair for pair in product(npa.states, npa.alphabet)
+                        if len(table[pair]) != 1 and pair not in self.open)
+            raise ValidationError(f"unexpected probabilistic pair ({s!r}, {a!r})")
+        self.rows = rows = {a: [0] * len(npa.states) for a in npa.alphabet}
+        for (s, a), hits in table.items():  # in table order: no key is rebuilt
+            rows[a][index[s]] = index[hits[0]]
+        self.diracs = [Distribution._exact(((s, ONE),)) for s in npa.states]
 
     def instantiate(self, spec: Mapping[tuple[str, str], Distribution]) -> ProbAutomaton:
         """The automaton whose open pairs carry ``spec``'s distributions.

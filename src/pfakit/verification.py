@@ -24,7 +24,6 @@ from .constructions import (
     build_simulation,
     check_letter,
     commit_prob,
-    dfa_accepts,
     encode_word,
     erase_sharps,
     fair_coin,
@@ -41,6 +40,10 @@ EQUAL = "=="
 AT_MOST = "<="
 
 _VERDICT_OK = {EQUAL: "equal", AT_MOST: "bounded"}
+
+# Largest m of seesaw_case_study; each doubling of m doubles the digits. With
+# n <= 20: about 1 s at m = 4096, 4 s at 8192 (Python 3.11, 2-vCPU VM).
+MAX_CASE_STUDY_M = 8192
 
 
 @dataclass(frozen=True)
@@ -211,7 +214,7 @@ def check_cheat_once(
     word: list[str] = []
     for blk in blocks:
         word += blk + [NEXT_WORD]
-    honest = [dfa_accepts(sim.checker, blk + [NEXT_WORD]) for blk in blocks]
+    honest = [sim.well_formed(blk + [NEXT_WORD]) for blk in blocks]
     lhs = accept_prob(c, word)
     dishonest = [i for i, ok in enumerate(honest) if not ok]
     inputs = (
@@ -357,11 +360,14 @@ def seesaw_case_study(
 
     One squaring chain per n: the integer matrix of i a^n f, built by the
     compiled kernel, is squared repeatedly, so the m axis costs one
-    multiplication per row.
+    multiplication per row. An ``m_max`` above ``MAX_CASE_STUDY_M`` raises
+    DomainError before any work.
     """
     x, y, eps = Fraction(x), Fraction(y), Fraction(eps)
     if n_max < 0 or m_max < 1:
         raise DomainError("need n_max >= 0 and m_max >= 1")
+    if m_max > MAX_CASE_STUDY_M:
+        raise DomainError(f"m_max = {m_max} is more than {MAX_CASE_STUDY_M}")
     pa = seesaw_pa(x, y)
     index = {s: i for i, s in enumerate(pa.states)}
     init = index[pa.initial]

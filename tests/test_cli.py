@@ -8,7 +8,17 @@ from io import StringIO
 import pytest
 
 from oracles import seesaw_closed_form
-from pfakit import PropReport, parse_automaton, seesaw_pa, serialize_automaton
+from pfakit import (
+    Distribution,
+    ProbAutomaton,
+    PropReport,
+    build_simulation,
+    hat,
+    parse_automaton,
+    random_simple_pa,
+    seesaw_pa,
+    serialize_automaton,
+)
 from pfakit.cli import build_parser, main, prop_battery
 
 
@@ -387,6 +397,73 @@ class TestErrors:
         )
         assert code == 2
         assert "numberless" in err
+
+
+class TestProbeCommands:
+    """hat and fairness-dfa read only the coin skeleton, not the simulation."""
+
+    @staticmethod
+    def source_doc(tmp_path, states, alphabet, rows):
+        delta = {(q, c): Distribution(rows.get((q, c), {q: 1})) for q in states for c in alphabet}
+        pa = ProbAutomaton(states, alphabet, states[0], delta, frozenset())
+        path = tmp_path / "source.json"
+        path.write_text(serialize_automaton(pa))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["hat", "fairness-dfa"])
+    @pytest.mark.parametrize(
+        "states,alphabet,rows,message",
+        [
+            (("q0", "q1"), ("a",), {("q0", "a"): {"q0": F(1, 3), "q1": F(2, 3)}},
+             "('q0', 'a') has probabilities [Fraction(1, 3), Fraction(2, 3)], not in {1/2, 1}"),
+            (("q0",), ("#",), {}, "source alphabet already contains '#'"),
+            (("q(0", "q1"), ("a",), {}, "state id 'q(0' may not contain '(', ')' or ','"),
+            (("q)",), ("a",), {}, "state id 'q)' may not contain '(', ')' or ','"),
+            (("q0",), ("a,b",), {}, "state id 'q0@a,b' may not contain '(', ')' or ','"),
+        ],
+        ids=["not-simple", "sharp-letter", "open-paren-state", "close-paren-state", "comma-letter"],
+    )
+    def test_sources_the_simulation_rejects(
+        self, capsys, tmp_path, command, states, alphabet, rows, message
+    ):
+        path = self.source_doc(tmp_path, states, alphabet, rows)
+        word = ["--word", "a"] if command == "hat" else []
+        code, out, err = run(capsys, command, "--automaton", path, *word)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2)])
+    def test_output_matches_the_built_simulation(self, capsys, tmp_path, monkeypatch, shape):
+        pa = random_simple_pa(0, *shape)
+        path = tmp_path / "source.json"
+        path.write_text(serialize_automaton(pa))
+        sim = build_simulation(pa)
+        word = list(pa.alphabet) + ["#"]
+        monkeypatch.setattr("pfakit.cli.build_simulation", None)  # neither command needs it
+        code, out, _ = run(capsys, "hat", "--automaton", str(path), "--word", " ".join(word))
+        assert code == 0
+        assert out == " ".join(hat(word, sim.state_order)) + "\n"
+        code, out, _ = run(capsys, "fairness-dfa", "--automaton", str(path))
+        assert code == 0
+        assert out == serialize_automaton(sim.checker, name="fairness-checker")
+
+
+class TestWorkBounds:
+    def test_encode_beyond_the_letter_bound(self, capsys):
+        code, out, err = run(capsys, "encode", "--word", "a", "--k", "1000000000")
+        assert code == 2
+        assert out == ""
+        assert err == "error: encoding gives 2000000001 letters, more than 1000000\n"
+
+    def test_case_study_beyond_the_m_bound(self, capsys):
+        code, out, err = run(
+            capsys, "case-study", "--x", "3/4", "--y", "1/4", "--n-max", "2",
+            "--m-max", "100000000",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: m_max = 100000000 is more than 8192\n"
 
 
 class TestParser:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import random
 from fractions import Fraction as F
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import raw_accept, raw_reach
+from pfakit.constructions import MAX_ENCODED_LETTERS
 from pfakit import (
     NEXT_TRANSITION,
     NEXT_WORD,
@@ -16,6 +18,7 @@ from pfakit import (
     InconsistentSupport,
     NotSimple,
     OrderMismatch,
+    UnknownLetter,
     ValidationError,
     accept_prob,
     apply_letter,
@@ -28,6 +31,7 @@ from pfakit import (
     encode_word,
     erase_sharps,
     fair_coin,
+    fairness_dfa,
     hat,
     instantiate,
     instantiate_simulation,
@@ -95,6 +99,16 @@ class TestEncoding:
     def test_negative_k_rejected(self):
         with pytest.raises(DomainError):
             encode_word(["a"], -1)
+
+    def test_letter_bound(self):
+        assert MAX_ENCODED_LETTERS == 1_000_000
+        assert len(encode_word(["a"], 499_999)) == 999_999
+        assert len(encode_word(["a"] * 1000, 499)) == 999_000
+        assert len(encode_word(["a"] * 200_000, 2)) == MAX_ENCODED_LETTERS
+        with pytest.raises(DomainError, match="1000001 letters, more than 1000000"):
+            encode_word(["a"], 500_000)
+        with pytest.raises(DomainError, match="1001000 letters"):
+            encode_word(["a"] * 1000, 500)
 
     def test_erase_sharps(self):
         assert erase_sharps(["a", "#", "#", "b", "#"]) == ["a", "b"]
@@ -295,6 +309,107 @@ class TestSimulation:
         )
         with pytest.raises((ValidationError, AlphabetClash)):
             build_simulation(renamed)
+
+
+def _reference_simulation(a):
+    """build_simulation the old way: a pair-by-pair loop over the probe
+    alphabet, then fairness_dfa's whole transition table merged in."""
+    coin = fair_coin(a, F(1, 3)).automaton  # lam = 1/3 tells the two branches apart
+    order, b_alphabet = coin.states, coin.alphabet
+
+    def branch(q, b):
+        d = coin.delta[(q, b)]
+        if len(d) == 1:
+            return next(iter(d)), next(iter(d))
+        return tuple(t for p in (F(1, 3), F(2, 3)) for t in d if d[t] == p)
+
+    alphabet = sim_alphabet(b_alphabet, order)
+    checker = fairness_dfa(b_alphabet, order)
+    left = {q: f"L:{q}" for q in order}
+    right = {q: f"R:{q}" for q in order}
+    center = ["coin", "heads", "tails", "skip", "wait"]
+    states = [left[q] for q in order] + [right[q] for q in order] + center + list(checker.states)
+    table = {}
+    for q in order:
+        for c in alphabet:
+            kind = parse_sim_letter(c)
+            if kind[0] == "check" and kind[2] == q:
+                table[(left[q], c)] = ("coin",)
+            elif kind[0] == "next_word":
+                table[(left[q], c)] = ("D:start",) if q in a.final else ("D:sink",)
+            else:
+                table[(left[q], c)] = (left[q],)
+    for q in order:
+        for c in alphabet:
+            table[(right[q], c)] = (left[q],) if c == NEXT_TRANSITION else (right[q],)
+    for c in alphabet:
+        kind = parse_sim_letter(c)
+        table[("coin", c)] = ("heads", "tails", "skip") if c == "$" else ("coin",)
+        if kind[0] == "apply":
+            t_lam, t_other = branch(kind[2], kind[1])
+            table[("heads", c)] = (right[t_lam],)
+            table[("tails", c)] = (right[t_other],)
+            table[("skip", c)] = ("wait",)
+        else:
+            for x in ("heads", "tails", "skip"):
+                table[(x, c)] = (x,)
+        table[("wait", c)] = (left[a.initial],) if c == NEXT_WORD else ("wait",)
+    table.update((pair, tuple(move)) for pair, move in checker.delta.items())
+    return tuple(states), alphabet, left[a.initial], table
+
+
+SHAPES = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (3, 2)]
+@functools.cache
+def _sim_of_shape(shape):
+    return build_simulation(random_simple_pa(7, *shape))
+
+
+class TestTableBuiltSimulation:
+    """build_simulation writes the checker's moves straight into its table."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_same_table_as_the_reference(self, shape, seed):
+        a = random_simple_pa(seed, *shape)
+        sim = build_simulation(a)
+        states, alphabet, initial, table = _reference_simulation(a)
+        assert (sim.npa.states, sim.npa.alphabet, sim.npa.initial) == (states, alphabet, initial)
+        assert sim.npa.final == frozenset({"D:start"})
+        assert list(sim.npa.support.table.items()) == list(table.items())
+        assert sim.checker == fairness_dfa(sim.b_alphabet, sim.state_order)
+        assert "checker" not in {f.name for f in dataclasses.fields(sim)}  # built on demand
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shape=st.sampled_from(SHAPES),
+        data=st.data(),
+    )
+    def test_table_walk_is_the_checker(self, shape, data):
+        sim = _sim_of_shape(shape)
+        piece = st.one_of(
+            st.sampled_from(sim.npa.alphabet).map(lambda c: [c]),
+            st.sampled_from(sim.b_alphabet).map(lambda b: hat([b], sim.state_order)),
+            st.just([NEXT_WORD]),
+            st.sampled_from(["z", "check(z,q)", "", "D:start"]).map(lambda c: [c]),
+        )
+        word = [c for part in data.draw(st.lists(piece, max_size=8)) for c in part]
+        try:
+            want = dfa_accepts(sim.checker, word)
+        except UnknownLetter as exc:
+            with pytest.raises(UnknownLetter) as got:
+                sim.well_formed(word)
+            assert str(got.value) == str(exc)
+        else:
+            assert sim.well_formed(word) is want
+
+    def test_well_formed_words(self):
+        sim = _sim_of_shape((2, 1))
+        block = hat(list(sim.b_alphabet) * 2, sim.state_order) + [NEXT_WORD]
+        assert sim.well_formed([]) and sim.well_formed(block * 3)
+        assert not sim.well_formed(block[:-1])
+        assert not sim.well_formed(block[1:])
+        with pytest.raises(UnknownLetter, match="letter 'z' not in the checker's alphabet"):
+            sim.well_formed(block + ["z"])
 
 
 class TestFairnessChecker:

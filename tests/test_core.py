@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import raw_accept, raw_reach
+from pfakit.core import Skeleton
 from pfakit import (
     Distribution,
     DomainError,
@@ -193,6 +194,85 @@ class TestTargetTables:
     def test_still_validated(self, changes, message):
         with pytest.raises(ValidationError, match=message):
             self.build(self.table(**changes))
+
+
+class TestValidationMessages:
+    """The first offender, with the same text, however the table is checked."""
+
+    STATES, ALPHABET = ("q", "r", "s"), ("a", "b")
+
+    def table(self, *extra):
+        table = {(x, c): (x,) for x in self.STATES for c in self.ALPHABET}
+        for pair, hits in extra:
+            table[pair] = hits
+        return table
+
+    def build(self, support):
+        return NumberlessAutomaton(self.STATES, self.ALPHABET, "q", support, {"r"})
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            ([(("ghost", "a"), ("q",)), (("phantom", "b"), ("q",))],
+             "support triple ('ghost', 'a', 'q') uses unknown state"),
+            ([(("s", "b"), ("q", "ghost", "spook")), (("phantom", "a"), ("q",))],
+             "support triple ('s', 'b', 'ghost') uses unknown state"),
+            ([(("r", "a"), ("phantom",)), (("q", "b"), ("ghost",))],
+             "support triple ('q', 'b', 'ghost') uses unknown state"),
+            ([(("q", "z"), ("q",)), (("r", "y"), ("r",))],
+             "support triple ('q', 'z', 'q') uses unknown letter"),
+            ([(("r", "z"), ("r",)), (("q", "y"), ("ghost",))],
+             "support triple ('r', 'z', 'r') uses unknown letter"),
+            ([(("q", "z"), ("ghost",))], "support triple ('q', 'z', 'ghost') uses unknown state"),
+            ([(("ghost", "a"), ()), (("q", "z"), ["q"])],
+             "support triple ('q', 'z', 'q') uses unknown letter"),
+        ],
+        ids=["sources", "targets", "targets-in-table-order", "letters", "letter-first",
+             "letter-and-target", "empty-entry-skipped"],
+    )
+    def test_first_unknown_id(self, extra, message):
+        table = self.table(*extra)
+        with pytest.raises(ValidationError) as exc:
+            self.build(table)
+        assert str(exc.value) == message
+        triples = [(x, c, t) for (x, c), hits in table.items() for t in hits]
+        with pytest.raises(ValidationError) as exc:
+            self.build(triples)
+        assert str(exc.value) == message
+
+    def test_list_entries_become_tuples(self):
+        npa = self.build(self.table((("q", "b"), ["r"]), (("r", "a"), ["s", "q"])))
+        assert npa.targets("q", "b") == ("r",) and npa.targets("r", "a") == ("q", "s")
+        assert list(npa.support.table)[1:3] == [("q", "b"), ("r", "a")]
+
+    def test_first_pair_without_support(self):
+        table = self.table()
+        del table[("s", "b")], table[("r", "a")]
+        table[("q", "b")] = ()
+        with pytest.raises(ValidationError) as exc:
+            self.build(table)
+        assert str(exc.value) == "no support for ('q', 'b'); automata must be total"
+        table[("q", "b")] = ("q",)
+        with pytest.raises(ValidationError) as exc:
+            self.build({(x, c, t) for (x, c), hits in table.items() for t in hits})
+        assert str(exc.value) == "no support for ('r', 'a'); automata must be total"
+
+    def test_first_unexpected_probabilistic_pair(self):
+        # letter-major table: (s, a) comes before (r, b), which state x letter order puts first
+        table = {(x, c): (x,) for c in self.ALPHABET for x in self.STATES}
+        table.update({("s", "a"): ("s", "q"), ("q", "a"): ("r", "q"), ("r", "b"): ("r", "s")})
+        npa = self.build(table)
+        assert list(npa.support.table)[2:5] == [("s", "a"), ("q", "b"), ("r", "b")]
+        Skeleton(npa, {("q", "a"), ("s", "a"), ("r", "b")})
+        for open_pairs, first in [
+            ({("q", "a")}, "('r', 'b')"),
+            ({("q", "a"), ("r", "b")}, "('s', 'a')"),
+            ((), "('q', 'a')"),
+            ({("q", "b"), ("s", "a"), ("r", "b")}, "('q', 'a')"),
+        ]:
+            with pytest.raises(ValidationError) as exc:
+                Skeleton(npa, open_pairs)
+            assert str(exc.value) == f"unexpected probabilistic pair {first}"
 
 
 class TestEvaluation:

@@ -4,12 +4,14 @@ from fractions import Fraction as F
 import pytest
 
 from oracles import seesaw_closed_form
+from pfakit.verification import MAX_CASE_STUDY_M
 from pfakit import (
     NEXT_TRANSITION,
     NEXT_WORD,
     DomainError,
     PreconditionFailed,
     SearchBudget,
+    UnknownLetter,
     accept_prob,
     build_simulation,
     check_cheat_once,
@@ -166,6 +168,11 @@ class TestCheatOnce:
                 assert rep.lhs <= rep.rhs
         assert checked >= 20
 
+    def test_letters_outside_the_alphabet_rejected(self, tiny_pa, sim):
+        blocks = [hat(["a"], sim.state_order), ["check(a,q0)", "bogus"]]
+        with pytest.raises(UnknownLetter, match="letter 'bogus' not in the checker's alphabet"):
+            check_cheat_once(tiny_pa, F(1, 2), F(1, 4), blocks, sim=sim)
+
     def test_scrambled_block_shape(self, sim):
         # full check/$/apply triples between separators, one separator per letter
         rng = random.Random(35)
@@ -252,6 +259,13 @@ class TestCaseStudy:
         rows = seesaw_case_study(F(3, 4), F(1, 4), 3, 8, eps=F(1, 2))
         for row in rows:
             assert row.exceeds == (row.exact > F(1, 2))
+
+    def test_m_max_is_bounded(self):
+        assert MAX_CASE_STUDY_M == 8192
+        rows = seesaw_case_study(F(3, 4), F(1, 4), 1, MAX_CASE_STUDY_M)
+        assert [r.m for r in rows[:14]] == [2**j for j in range(14)]
+        with pytest.raises(DomainError, match="m_max = 8193 is more than 8192"):
+            seesaw_case_study(F(3, 4), F(1, 4), 1, MAX_CASE_STUDY_M + 1)
 
     def test_no_hit_returns_none(self):
         rows = seesaw_case_study(F(1, 2), F(1, 2), 3, 8)
