@@ -226,6 +226,15 @@ class ProbAutomaton:
 
 
 def _check_delta(states, alphabet, state_set, delta) -> None:
+    # Checked in bulk, once per distinct Distribution object (tables share
+    # their Diracs); the walk only runs to name the first offender.
+    values = list(delta.values())
+    distinct = dict(zip(map(id, values), values)).values()
+    if (len(delta) == len(states) * len(alphabet)
+            and all(map(delta.__contains__, product(states, alphabet)))
+            and all(isinstance(d, Distribution) for d in distinct)
+            and state_set.issuperset(chain.from_iterable(distinct))):
+        return
     for s in states:
         for a in alphabet:
             d = delta.get((s, a))
@@ -239,9 +248,8 @@ def _check_delta(states, alphabet, state_set, delta) -> None:
                     f"delta[({s!r}, {a!r})] targets unknown states {sorted(stray)}"
                 )
     # Every declared pair is present, so a larger table has extra pairs.
-    if len(delta) != len(states) * len(alphabet):
-        extra = set(delta) - {(s, a) for s in states for a in alphabet}
-        raise ValidationError(f"delta has entries for unknown pairs {sorted(extra)}")
+    extra = set(delta) - {(s, a) for s in states for a in alphabet}
+    raise ValidationError(f"delta has entries for unknown pairs {sorted(extra)}")
 
 
 class SupportTriples(Set):
@@ -447,6 +455,24 @@ class _SkeletonDelta(Mapping):
 
     def __len__(self) -> int:
         return len(self.skeleton.states) * len(self.skeleton.alphabet)
+
+
+def ordered_delta(pa: ProbAutomaton) -> list[Distribution]:
+    """The distributions of ``pa.delta`` in states x alphabet order.
+
+    A :class:`Skeleton` view is read from its integer rows and open pairs,
+    without a lookup per pair.
+    """
+    delta = pa.delta
+    if not isinstance(delta, _SkeletonDelta):
+        return list(map(delta.__getitem__, product(pa.states, pa.alphabet)))
+    skel = delta.skeleton
+    per_state = zip(*(skel.rows[a] for a in pa.alphabet))  # each state's targets
+    out = list(map(skel.diracs.__getitem__, chain.from_iterable(per_state)))
+    letter = {a: j for j, a in enumerate(pa.alphabet)}
+    for (s, a), d in delta.spec.items():
+        out[skel.index[s] * len(letter) + letter[a]] = d
+    return out
 
 
 # --- the compiled integer kernel -------------------------------------------------

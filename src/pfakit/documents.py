@@ -13,10 +13,16 @@ Canonical form: two-space indent, transitions sorted by (state order, letter
 order), "to" keys in state order, final states in state order, trailing
 newline: what ``json.dumps(..., indent=2)`` prints. One writer fills a fixed
 template per transition record, escaping strings with json's own
-``encode_basestring_ascii``; serialize_automaton writes straight from the
-automaton's table. serialize_document(parse_document(text)) == text for
+``encode_basestring_ascii`` and rendering each distinct "to" value once;
+serialize_automaton writes straight from the automaton's table (a skeleton
+view's integer rows). serialize_document(parse_document(text)) == text for
 canonical text; expression strings are preserved verbatim, and loading
 evaluates each distinct one once.
+
+parse_document checks the records' shapes in bulk, by the set of types in
+each field, and walks the records only when a check fails, to name the first
+malformed one. The records it builds take the freshly loaded values without
+the copies TransitionRecord's constructor makes.
 
 Structural problems (bad JSON, wrong shapes) raise ParseError; semantic
 problems (unknown ids, bad sums, unbound parameters) raise ValidationError.
@@ -26,12 +32,16 @@ from __future__ import annotations
 
 import functools
 import json
+from collections import deque
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, product, repeat
 from typing import Union
 
-from .core import MAX_EXPONENT, Distribution, NumberlessAutomaton, ProbAutomaton, instantiate
+from .core import (
+    MAX_EXPONENT, Distribution, NumberlessAutomaton, ProbAutomaton, instantiate, ordered_delta,
+)
 from .constructions import BuchiAutomaton
 from .errors import ParseError, ValidationError
 
@@ -40,8 +50,10 @@ KINDS = ("pa", "npa", "pba")
 Targets = Union[Mapping[str, str], Sequence[str]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransitionRecord:
+    """One transition record; the constructor copies ``to`` into a dict or a tuple."""
+
     source: str
     letter: str
     to: Targets  # dict target -> expression, or tuple of targets
@@ -202,6 +214,59 @@ def _str_list(obj: Mapping, key: str, what: str) -> list[str]:
     return value
 
 
+def _record_walk(records_raw: list, kind: str) -> None:
+    """Raise the ParseError of the first malformed transition record."""
+    for i, rec in enumerate(records_raw):
+        what = f"transition {i}"
+        if not isinstance(rec, dict):
+            raise ParseError(f"{what}: must be an object")
+        _need(rec, "from", str, what)
+        _need(rec, "letter", str, what)
+        if "to" not in rec:
+            raise ParseError(f"{what}: missing key 'to'")
+        to = rec["to"]
+        if isinstance(to, dict):  # JSON object keys are always strings
+            if not all(isinstance(v, str) for v in to.values()):
+                raise ParseError(f"{what}: 'to' map must be state -> expression string")
+        elif isinstance(to, list):
+            if kind != "npa":
+                raise ParseError(f"{what}: target lists are only allowed in npa documents")
+            if not all(isinstance(t, str) for t in to):
+                raise ParseError(f"{what}: 'to' list entries must be strings")
+        else:
+            raise ParseError(f"{what}: 'to' must be a map or a list")
+
+
+def _records(records_raw: list, kind: str) -> list[TransitionRecord] | None:
+    """The transition records of freshly loaded JSON, or None if one is malformed.
+
+    The shapes are checked in bulk, by the set of types in each field. The
+    values belong to no one else, so the records take them without the public
+    constructor's copies; only target lists become tuples.
+    """
+    try:
+        sources = [rec["from"] for rec in records_raw]
+        letters = [rec["letter"] for rec in records_raw]
+        tos = [rec["to"] for rec in records_raw]
+    except (KeyError, TypeError):  # a record without a key, or not an object
+        return None
+    to_types = set(map(type, tos))
+    if not (
+        set(map(type, sources)) | set(map(type, letters)) <= {str}
+        and to_types <= ({dict, list} if kind == "npa" else {dict})
+        and set(map(type, chain.from_iterable(
+            to.values() if to.__class__ is dict else to for to in tos))) <= {str}
+    ):
+        return None
+    if list in to_types:  # equal target lists share one tuple
+        shared: dict[tuple, tuple] = {}
+        tos = [shared.setdefault(t := tuple(to), t) if to.__class__ is list else to for to in tos]
+    records = list(map(object.__new__, repeat(TransitionRecord, len(tos))))
+    for field, values in (("source", sources), ("letter", letters), ("to", tos)):
+        deque(map(getattr(TransitionRecord, field).__set__, records, values), maxlen=0)
+    return records
+
+
 def parse_document(text: str) -> AutomatonDocument:
     try:
         raw = json.loads(text)
@@ -226,27 +291,9 @@ def parse_document(text: str) -> AutomatonDocument:
     initial = _need(raw, "initial", str, "document")
     final = _str_list(raw, "final", "document")
     records_raw = _need(raw, "transitions", list, "document")
-    records: list[TransitionRecord] = []
-    for i, rec in enumerate(records_raw):
-        what = f"transition {i}"
-        if not isinstance(rec, dict):
-            raise ParseError(f"{what}: must be an object")
-        src = _need(rec, "from", str, what)
-        letter = _need(rec, "letter", str, what)
-        if "to" not in rec:
-            raise ParseError(f"{what}: missing key 'to'")
-        to = rec["to"]
-        if isinstance(to, dict):
-            if not all(isinstance(k, str) and isinstance(v, str) for k, v in to.items()):
-                raise ParseError(f"{what}: 'to' map must be state -> expression string")
-        elif isinstance(to, list):
-            if kind != "npa":
-                raise ParseError(f"{what}: target lists are only allowed in npa documents")
-            if not all(isinstance(t, str) for t in to):
-                raise ParseError(f"{what}: 'to' list entries must be strings")
-        else:
-            raise ParseError(f"{what}: 'to' must be a map or a list")
-        records.append(TransitionRecord(src, letter, to))
+    records = _records(records_raw, kind)
+    if records is None:
+        _record_walk(records_raw, kind)
     return AutomatonDocument(kind, states, alphabet, initial, final, records, name, params)
 
 
@@ -383,19 +430,30 @@ def serialize_document(doc: AutomatonDocument) -> str:
     indent, trailing newline."""
     order = {s: i for i, s in enumerate(doc.states)}
     letter_order = {c: i for i, c in enumerate(doc.alphabet)}
-    for rec in doc.transitions:
+    try:
+        ranked = sorted(doc.transitions, key=lambda r: (order[r.source], letter_order[r.letter]))
+    except KeyError:  # name the first record with an unknown source or letter
+        rec = next(r for r in doc.transitions if r.source not in order or r.letter not in letter_order)
         if rec.source not in order:
-            raise ValidationError(f"transition from unknown state {rec.source!r}")
-        if rec.letter not in letter_order:
-            raise ValidationError(f"transition on unknown letter {rec.letter!r}")
+            raise ValidationError(f"transition from unknown state {rec.source!r}") from None
+        raise ValidationError(f"transition on unknown letter {rec.letter!r}") from None
 
     def rank(t: str) -> int:  # targets not among the states sort last
         return order.get(t, len(order))
 
-    records = [
-        _RECORD % (_quote(rec.source), _quote(rec.letter), _to_value(rec.to, rank))
-        for rec in sorted(doc.transitions, key=lambda r: (order[r.source], letter_order[r.letter]))
-    ]
+    quoted = {x: _quote(x) for x in doc.states + doc.alphabet}
+    # One rendering per distinct "to"; maps and lists are cached apart, since
+    # an empty map's items equal an empty list.
+    maps: dict[tuple, str] = {}
+    lists: dict[tuple, str] = {}
+    records = []
+    for rec in ranked:
+        to = rec.to
+        cache, key = (lists, to) if isinstance(to, tuple) else (maps, tuple(to.items()))
+        text = cache.get(key)
+        if text is None:
+            text = cache[key] = _to_value(to, rank)
+        records.append(_RECORD % (quoted[rec.source], quoted[rec.letter], text))
     return _render(doc.kind, doc.name, doc.params, doc.states, doc.alphabet,
                    doc.initial, sorted(doc.final, key=rank), records)
 
@@ -403,25 +461,30 @@ def serialize_document(doc: AutomatonDocument) -> str:
 def serialize_automaton(obj: Automaton, name: str | None = None) -> str:
     """The canonical document of ``obj``, written straight from its table."""
     if isinstance(obj, NumberlessAutomaton):
-        kind, pa, final, table = "npa", obj, obj.final, obj.support.table
+        kind, pa, final = "npa", obj, obj.final
+        tos = list(map(obj.support.table.__getitem__, product(obj.states, obj.alphabet)))
     elif isinstance(obj, BuchiAutomaton):
-        kind, pa, final, table = "pba", obj.automaton, obj.accepting, obj.automaton.delta
+        kind, pa, final = "pba", obj.automaton, obj.accepting
+        tos = ordered_delta(pa)
     elif isinstance(obj, ProbAutomaton):
-        kind, pa, final, table = "pa", obj, obj.final, obj.delta
+        kind, pa, final = "pa", obj, obj.final
+        tos = ordered_delta(pa)
     else:
         raise ValidationError(f"cannot serialize object of type {type(obj).__name__}")
     order = {s: i for i, s in enumerate(pa.states)}
-    quoted = {x: _quote(x) for x in pa.states + pa.alphabet}
+    letters = [_quote(c) for c in pa.alphabet]
+    k = len(letters)
     # One rendering per target tuple, or per Distribution object: tables share
     # their Diracs, and the table keeps each object (so its id) alive.
     rendered: dict = {}
     records = []
-    for s in pa.states:
-        for c in pa.alphabet:
-            to = table[(s, c)]
+    for i, s in enumerate(pa.states):
+        source = _quote(s)
+        for letter, to in zip(letters, tos[i * k:i * k + k]):
             key = to if kind == "npa" else id(to)
-            if key not in rendered:
-                rendered[key] = _to_value(to, order.__getitem__)
-            records.append(_RECORD % (quoted[s], quoted[c], rendered[key]))
+            text = rendered.get(key)
+            if text is None:
+                text = rendered[key] = _to_value(to, order.__getitem__)
+            records.append(_RECORD % (source, letter, text))
     return _render(kind, name, (), pa.states, pa.alphabet, pa.initial,
                    sorted(final, key=order.__getitem__), records)

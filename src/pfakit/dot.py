@@ -11,17 +11,12 @@ from __future__ import annotations
 
 from typing import Union
 
-from .core import NumberlessAutomaton, ProbAutomaton
+from .core import NumberlessAutomaton, ProbAutomaton, ordered_delta
 from .constructions import BuchiAutomaton
 
 
 def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def _quote_label(fragments: list[str]) -> str:
-    # stacked label: literal \n separators must survive, so escape quotes only
-    return '"' + "\\n".join(f.replace('"', '\\"') for f in fragments) + '"'
 
 
 def export_dot(obj: Union[ProbAutomaton, NumberlessAutomaton, BuchiAutomaton]) -> str:
@@ -33,25 +28,34 @@ def export_dot(obj: Union[ProbAutomaton, NumberlessAutomaton, BuchiAutomaton]) -
         "  node [shape=circle];",
         '  __init__ [shape=point, style=invis, label=""];',
     ]
+    quoted = {s: _quote(s) for s in obj.states}
     for s in obj.states:
         shape = "doublecircle" if s in obj.final else "circle"
-        lines.append(f"  {_quote(s)} [shape={shape}];")
-    lines.append(f"  __init__ -> {_quote(obj.initial)};")
+        lines.append(f"  {quoted[s]} [shape={shape}];")
+    lines.append(f"  __init__ -> {quoted[obj.initial]};")
 
     order = {s: i for i, s in enumerate(obj.states)}
-    # labels[(src, tgt)] = list of per-letter label fragments, alphabet order
-    labels: dict[tuple[str, str], list[str]] = {}
+    # Stacked labels keep their literal \n separators, so letters escape quotes only.
+    letters = [(c, c.replace('"', '\\"')) for c in obj.alphabet]
+    k = len(letters)
     if isinstance(obj, ProbAutomaton):
-        for s in obj.states:
-            for c in obj.alphabet:
-                for t, p in obj.delta[(s, c)].items():
-                    labels.setdefault((s, t), []).append(f"{c}, {p}")
+        rows = ordered_delta(obj)  # in states x alphabet order
+
+        def fragments(i, s):
+            return ((t, f"{e}, {p}") for (_, e), d in zip(letters, rows[i * k:i * k + k])
+                    for t, p in d.items())
     else:
-        for s in obj.states:
-            for c in obj.alphabet:
-                for t in obj.targets(s, c):
-                    labels.setdefault((s, t), []).append(c)
-    for (s, t) in sorted(labels, key=lambda st: (order[st[0]], order[st[1]])):
-        lines.append(f"  {_quote(s)} -> {_quote(t)} [label={_quote_label(labels[(s, t)])}];")
+        table = obj.support.table
+
+        def fragments(i, s):
+            return ((t, e) for c, e in letters for t in table[(s, c)])
+
+    for i, s in enumerate(obj.states):
+        labels: dict[str, list[str]] = {}  # target -> label fragments, alphabet order
+        for t, fragment in fragments(i, s):
+            labels.setdefault(t, []).append(fragment)
+        for t in sorted(labels, key=order.__getitem__):
+            label = "\\n".join(labels[t])
+            lines.append(f'  {quoted[s]} -> {quoted[t]} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -44,6 +44,9 @@ _VERDICT_OK = {EQUAL: "equal", AT_MOST: "bounded"}
 # Largest m of seesaw_case_study; each doubling of m doubles the digits. With
 # n <= 20: about 1 s at m = 4096, 4 s at 8192 (Python 3.11, 2-vCPU VM).
 MAX_CASE_STUDY_M = 8192
+# Largest n_max of seesaw_case_study; the digits grow with n too. At m = 8192,
+# x = 3/4, y = 1/4: about 4 s at n_max = 20, 5 s at 24 and 12 s at 32 (same VM).
+MAX_CASE_STUDY_N = 24
 
 
 @dataclass(frozen=True)
@@ -360,14 +363,16 @@ def seesaw_case_study(
 
     One squaring chain per n: the integer matrix of i a^n f, built by the
     compiled kernel, is squared repeatedly, so the m axis costs one
-    multiplication per row. An ``m_max`` above ``MAX_CASE_STUDY_M`` raises
-    DomainError before any work.
+    multiplication per row. An ``m_max`` above ``MAX_CASE_STUDY_M``, or an
+    ``n_max`` above ``MAX_CASE_STUDY_N``, raises DomainError before any work.
     """
     x, y, eps = Fraction(x), Fraction(y), Fraction(eps)
     if n_max < 0 or m_max < 1:
         raise DomainError("need n_max >= 0 and m_max >= 1")
     if m_max > MAX_CASE_STUDY_M:
         raise DomainError(f"m_max = {m_max} is more than {MAX_CASE_STUDY_M}")
+    if n_max > MAX_CASE_STUDY_N:
+        raise DomainError(f"n_max = {n_max} is more than {MAX_CASE_STUDY_N}")
     pa = seesaw_pa(x, y)
     index = {s: i for i, s in enumerate(pa.states)}
     init = index[pa.initial]

@@ -465,6 +465,19 @@ class TestWorkBounds:
         assert out == ""
         assert err == "error: m_max = 100000000 is more than 8192\n"
 
+    def test_case_study_beyond_the_n_bound(self, capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the case study started before its bound was checked")
+
+        monkeypatch.setattr("pfakit.verification.seesaw_pa", no_work)
+        code, out, err = run(
+            capsys, "case-study", "--x", "3/4", "--y", "1/4", "--n-max", "1000000000",
+            "--m-max", "2",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: n_max = 1000000000 is more than 24\n"
+
 
 class TestParser:
     def test_built_once_and_bindings_stay_apart(self, capsys, seesaw_doc):

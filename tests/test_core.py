@@ -275,6 +275,78 @@ class TestValidationMessages:
             assert str(exc.value) == f"unexpected probabilistic pair {first}"
 
 
+class TestDeltaMessages:
+    """ProbAutomaton's table check names the first offender in states x alphabet
+    order, whatever the table's own order and however its Diracs are shared."""
+
+    STATES, ALPHABET = ("p", "q"), ("a", "b")
+
+    def build(self, changes=(), drop=()):
+        shared = dirac("p")
+        # letter-major, reversed: table order is never states x alphabet order
+        delta = {(x, c): shared for c in reversed(self.ALPHABET) for x in reversed(self.STATES)}
+        for pair in drop:
+            del delta[pair]
+        delta.update(changes)
+        with pytest.raises(ValidationError) as exc:
+            ProbAutomaton(self.STATES, self.ALPHABET, "p", delta, frozenset())
+        return str(exc.value)
+
+    def test_missing_distribution(self):
+        assert self.build(drop=[("q", "a"), ("p", "b")]) == "missing distribution for ('p', 'b')"
+        assert self.build({("p", "b"): None}, drop=[("q", "a")]) == (
+            "missing distribution for ('p', 'b')")
+        # an unknown pair in place of the missing one keeps the table's size
+        assert self.build({("r", "a"): dirac("p")}, drop=[("q", "a")]) == (
+            "missing distribution for ('q', 'a')")
+
+    def test_not_a_distribution(self):
+        message = self.build({("q", "b"): "x", ("p", "b"): F(1, 2)})
+        assert message == "delta[('p', 'b')] is not a Distribution"
+
+    def test_unknown_targets(self):
+        stray = dirac("z1")  # one shared object at two pairs
+        message = self.build({
+            ("q", "a"): stray,
+            ("p", "b"): Distribution({"z2": F(1, 2), "y": F(1, 4), "q": F(1, 4)}),
+            ("q", "b"): stray,
+        })
+        assert message == "delta[('p', 'b')] targets unknown states ['y', 'z2']"
+        assert self.build({("q", "b"): stray, ("q", "a"): stray}) == (
+            "delta[('q', 'a')] targets unknown states ['z1']")
+
+    def test_unknown_pairs(self):
+        message = self.build({("r", "a"): dirac("p"), ("p", "c"): dirac("p")})
+        assert message == "delta has entries for unknown pairs [('p', 'c'), ('r', 'a')]"
+
+    def test_first_offender_across_kinds(self):
+        # each pair's own problem; the first pair in states x alphabet order wins
+        assert self.build({("p", "b"): dirac("z"), ("q", "b"): "x", ("r", "a"): dirac("p")},
+                          drop=[("q", "a")]) == "delta[('p', 'b')] targets unknown states ['z']"
+        assert self.build({("p", "b"): "x", ("r", "a"): dirac("p")}, drop=[("p", "a")]) == (
+            "missing distribution for ('p', 'a')")
+        assert self.build({("q", "b"): dirac("z"), ("r", "a"): dirac("p")}) == (
+            "delta[('q', 'b')] targets unknown states ['z']")
+
+
+class TestOrderedDelta:
+    """``ordered_delta`` against a lookup per pair, for dict tables and skeleton views."""
+
+    @pytest.mark.parametrize("shape", [(2, 1), (2, 2), (3, 2)])
+    def test_matches_a_lookup_per_pair(self, shape):
+        from pfakit import build_simulation, instantiate_simulation
+        from pfakit.core import _SkeletonDelta, ordered_delta
+
+        sim = build_simulation(random_simple_pa(0, *shape))
+        inst = instantiate_simulation(sim, F(1, 3), F(1, 2))
+        assert isinstance(inst.delta, _SkeletonDelta)
+        plain = ProbAutomaton(inst.states, inst.alphabet, inst.initial, dict(inst.delta), inst.final)
+        for pa in (inst, plain, sim.checker):
+            want = [pa.delta[(s, c)] for s in pa.states for c in pa.alphabet]
+            got = ordered_delta(pa)
+            assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
+
+
 class TestEvaluation:
     def test_empty_word_accepts_iff_initial_final(self, tiny_pa, seesaw_fast):
         assert accept_prob(tiny_pa, []) == 0

@@ -2,6 +2,7 @@ import hashlib
 import json
 from fractions import Fraction as F
 from importlib import resources
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -186,6 +187,152 @@ class TestParsing:
         doc["transitions"][0]["from"] = "ghost"
         with pytest.raises(ValidationError):
             document_to_automaton(parse_document(json.dumps(doc)))
+
+
+def tiny_document(kind, *records):
+    """A one-state, two-letter document text with the given raw records."""
+    return json.dumps({
+        "kind": kind, "states": ["q"], "alphabet": ["a", "b"], "initial": "q",
+        "final": [], "transitions": [{"from": "q", "letter": "a", "to": {"q": "1"}}, *records],
+    })
+
+
+GOOD = {"from": "q", "letter": "b", "to": {"q": "1"}}
+
+
+class TestRecordErrors:
+    """Every record-level ParseError, naming the first malformed record."""
+
+    @pytest.mark.parametrize(
+        "kind,record,message",
+        [
+            ("pa", ["q", "a", "q"], "transition 1: must be an object"),
+            ("pa", "q a q", "transition 1: must be an object"),
+            ("npa", None, "transition 1: must be an object"),
+            ("pa", {"letter": "b", "to": {}}, "transition 1: missing key 'from'"),
+            ("pa", {"from": "q", "to": {}}, "transition 1: missing key 'letter'"),
+            ("npa", {"from": "q", "letter": "b"}, "transition 1: missing key 'to'"),
+            ("pa", {"from": 1, "letter": "b", "to": {}}, "transition 1: key 'from' must be str"),
+            ("pa", {"from": ["q"], "letter": "b", "to": {}}, "transition 1: key 'from' must be str"),
+            ("npa", {"from": "q", "letter": None, "to": []}, "transition 1: key 'letter' must be str"),
+            ("pa", {"from": "q", "letter": "b", "to": {"q": 1}},
+             "transition 1: 'to' map must be state -> expression string"),
+            ("npa", {"from": "q", "letter": "b", "to": {"q": "1/2", "r": None}},
+             "transition 1: 'to' map must be state -> expression string"),
+            ("pa", {"from": "q", "letter": "b", "to": ["q"]},
+             "transition 1: target lists are only allowed in npa documents"),
+            ("pba", {"from": "q", "letter": "b", "to": []},
+             "transition 1: target lists are only allowed in npa documents"),
+            ("npa", {"from": "q", "letter": "b", "to": ["q", 2]},
+             "transition 1: 'to' list entries must be strings"),
+            ("npa", {"from": "q", "letter": "b", "to": [["q"]]},
+             "transition 1: 'to' list entries must be strings"),
+            ("npa", {"from": "q", "letter": "b", "to": "q"}, "transition 1: 'to' must be a map or a list"),
+            ("pa", {"from": "q", "letter": "b", "to": 1}, "transition 1: 'to' must be a map or a list"),
+            ("pa", {"from": "q", "letter": "b", "to": True}, "transition 1: 'to' must be a map or a list"),
+        ],
+    )
+    def test_message(self, kind, record, message):
+        with pytest.raises(ParseError) as exc:
+            parse_document(tiny_document(kind, record, GOOD))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "records,message",
+        [
+            ([GOOD, {"from": 1, "letter": "b", "to": {}}, GOOD, 7], "transition 2: key 'from' must be str"),
+            ([GOOD, 7, GOOD, {"from": 1, "letter": "b", "to": {}}], "transition 2: must be an object"),
+            ([{"from": "q", "letter": "b", "to": [1]}, {"from": "q", "to": []}],
+             "transition 1: 'to' list entries must be strings"),
+            ([{"from": "q", "to": []}, {"from": "q", "letter": "b", "to": [1]}],
+             "transition 1: missing key 'letter'"),
+            ([{"from": "q", "letter": "b", "to": {"q": 0}}, {"from": "q", "letter": 2, "to": {}}],
+             "transition 1: 'to' map must be state -> expression string"),
+        ],
+        ids=["type-before-shape", "shape-before-type", "entry-before-key", "key-before-entry",
+             "value-before-letter"],
+    )
+    def test_lowest_index_is_named(self, records, message):
+        with pytest.raises(ParseError) as exc:
+            parse_document(tiny_document("npa", *records))
+        assert str(exc.value) == message
+
+    def test_well_formed_records_pass(self):
+        doc = parse_document(tiny_document("npa", {"from": "q", "letter": "b", "to": ["q"]}))
+        assert [rec.to for rec in doc.transitions] == [{"q": "1"}, ("q",)]
+
+
+class TestUnknownStates:
+    """document_to_automaton names the first record with an unknown state."""
+
+    def document(self, *records):
+        return AutomatonDocument("npa", ("p", "q"), ("a",), "p", (), [
+            TransitionRecord("p", "a", ["q"]), *records, TransitionRecord("q", "a", {"p": "1"})
+        ])
+
+    @pytest.mark.parametrize(
+        "records,message",
+        [
+            ([TransitionRecord("g1", "a", ["p"]), TransitionRecord("g2", "a", ["p"])],
+             "transition from unknown state 'g1'"),
+            ([TransitionRecord("p", "a", ["q", "g1"]), TransitionRecord("g2", "a", ["p"])],
+             "transition to unknown state 'g1'"),
+            ([TransitionRecord("p", "a", {"g1": "1"}), TransitionRecord("p", "a", ["g2"])],
+             "transition to unknown state 'g1'"),
+            ([TransitionRecord("g1", "a", ["g2"])], "transition from unknown state 'g1'"),
+            ([TransitionRecord("q", "a", ["g1", "g2"])], "transition to unknown state 'g1'"),
+        ],
+        ids=["sources", "target-first", "map-target", "source-before-target", "first-target"],
+    )
+    def test_first_offender(self, records, message):
+        for bindings in (None, {}):
+            with pytest.raises(ValidationError) as exc:
+                document_to_automaton(self.document(*records), bindings)
+            assert str(exc.value) == message
+
+
+class TestRecordConstruction:
+    """Records parsed from JSON against the same records built by the public
+    constructor."""
+
+    def test_parsed_equals_constructed(self):
+        text = tiny_document("npa", {"from": "q", "letter": "b", "to": ["q"]},
+                             {"from": "q", "letter": "b", "to": {}})
+        parsed = parse_document(text).transitions
+        built = (TransitionRecord("q", "a", {"q": "1"}), TransitionRecord("q", "b", ["q"]),
+                 TransitionRecord("q", "b", {}))
+        assert parsed == built
+        assert [repr(r) for r in parsed] == [repr(r) for r in built]
+        assert repr(built[1]) == "TransitionRecord(source='q', letter='b', to=('q',))"
+        assert [type(r.to) for r in parsed] == [dict, tuple, dict]
+
+    def test_constructor_copies_and_normalises(self):
+        source = {"q": "1/2", "r": "1/2"}
+        rec = TransitionRecord("q", "a", MappingProxyType(source))
+        assert type(rec.to) is dict and rec.to == source
+        rec = TransitionRecord("q", "a", source)
+        assert rec.to == source and rec.to is not source
+        targets = ["q", "r"]
+        rec = TransitionRecord("q", "a", targets)
+        assert rec.to == ("q", "r")
+        targets.append("s")
+        assert rec.to == ("q", "r")
+        assert TransitionRecord("q", "a", iter(["q"])).to == ("q",)
+
+    def test_frozen_and_slotted(self):
+        rec = parse_document(seesaw_text()).transitions[0]
+        with pytest.raises(AttributeError):
+            rec.source = "ghost"
+        assert not hasattr(rec, "__dict__")
+
+    @pytest.mark.parametrize("seed,shape", [(0, (2, 1)), (1, (2, 1)), (2, (1, 2)), (1, (2, 2))])
+    def test_compiled_documents_round_trip(self, seed, shape):
+        sim = build_simulation(random_simple_pa(seed, *shape))
+        for obj in (sim.npa, instantiate_simulation(sim, F(1, 3), F(1, 2))):
+            text = serialize_automaton(obj, name="simulation")
+            doc = parse_document(text)
+            assert serialize_document(doc) == text
+            assert doc == automaton_to_document(obj, "simulation") == reference_document(obj, "simulation")
 
 
 class TestSeesawDocument:

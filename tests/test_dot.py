@@ -1,11 +1,20 @@
 from fractions import Fraction as F
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from pfakit import (
+    BuchiAutomaton,
     Distribution,
+    NumberlessAutomaton,
     ProbAutomaton,
     buchi_reduction,
+    build_simulation,
     dirac,
     export_dot,
+    instantiate_simulation,
+    random_simple_pa,
     seesaw_npa,
     seesaw_pa,
 )
@@ -60,3 +69,66 @@ class TestExportDot:
 
     def test_deterministic_output(self, seesaw_fast):
         assert export_dot(seesaw_fast) == export_dot(seesaw_fast)
+
+
+def reference_export_dot(obj):
+    """The renderer that looked up every (state, letter) pair through the
+    automaton's public interface, kept here as the reference."""
+    if isinstance(obj, BuchiAutomaton):
+        obj = obj.automaton
+
+    def quote(s):
+        return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    lines = ["digraph automaton {", "  rankdir=LR;", "  node [shape=circle];",
+             '  __init__ [shape=point, style=invis, label=""];']
+    for s in obj.states:
+        lines.append(f"  {quote(s)} [shape={'doublecircle' if s in obj.final else 'circle'}];")
+    lines.append(f"  __init__ -> {quote(obj.initial)};")
+    order = {s: i for i, s in enumerate(obj.states)}
+    labels = {}
+    for s in obj.states:
+        for c in obj.alphabet:
+            if isinstance(obj, ProbAutomaton):
+                fragments = [(t, f"{c}, {p}") for t, p in obj.delta[(s, c)].items()]
+            else:
+                fragments = [(t, c) for t in obj.targets(s, c)]
+            for t, fragment in fragments:
+                labels.setdefault((s, t), []).append(fragment)
+    for s, t in sorted(labels, key=lambda st: (order[st[0]], order[st[1]])):
+        label = "\\n".join(f.replace('"', '\\"') for f in labels[(s, t)])
+        lines.append(f'  {quote(s)} -> {quote(t)} [label="{label}"];')
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+ids = st.text(st.sampled_from('ab"\\\n,'), min_size=1, max_size=3)
+
+
+@st.composite
+def automata(draw):
+    """pa, pba and npa objects whose ids hold quotes, backslashes and newlines."""
+    states = draw(st.lists(ids, min_size=1, max_size=4, unique=True))
+    alphabet = draw(st.lists(ids, min_size=1, max_size=3, unique=True))
+    final = draw(st.frozensets(st.sampled_from(states)))
+    hits = st.lists(st.sampled_from(states), min_size=1, max_size=3, unique=True)
+    table = {(s, c): draw(hits) for s in states for c in alphabet}
+    kind = draw(st.sampled_from(("pa", "npa", "pba")))
+    if kind == "npa":
+        return NumberlessAutomaton.from_targets(states, alphabet, states[0], table, final)
+    delta = {pair: Distribution({t: F(1, len(ts)) for t in ts}) for pair, ts in table.items()}
+    pa = ProbAutomaton(states, alphabet, states[0], delta, final)
+    return BuchiAutomaton(pa, final) if kind == "pba" else pa
+
+
+class TestAgainstReference:
+    @given(automata())
+    @settings(max_examples=150, deadline=None)
+    def test_tricky_ids(self, obj):
+        assert export_dot(obj) == reference_export_dot(obj)
+
+    @pytest.mark.parametrize("shape", [(2, 1), (1, 2)])
+    def test_compiled_automata(self, shape):
+        sim = build_simulation(random_simple_pa(0, *shape))
+        inst = instantiate_simulation(sim, F(1, 3), F(1, 2))  # a skeleton view
+        for obj in (sim.npa, inst, sim.checker, seesaw_npa(), seesaw_pa(F(3, 4), F(1, 4))):
+            assert export_dot(obj) == reference_export_dot(obj)

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from oracles import seesaw_closed_form
-from pfakit.verification import MAX_CASE_STUDY_M
+from pfakit.verification import MAX_CASE_STUDY_M, MAX_CASE_STUDY_N
 from pfakit import (
     NEXT_TRANSITION,
     NEXT_WORD,
@@ -266,6 +266,13 @@ class TestCaseStudy:
         assert [r.m for r in rows[:14]] == [2**j for j in range(14)]
         with pytest.raises(DomainError, match="m_max = 8193 is more than 8192"):
             seesaw_case_study(F(3, 4), F(1, 4), 1, MAX_CASE_STUDY_M + 1)
+
+    def test_n_max_is_bounded(self):
+        assert MAX_CASE_STUDY_N == 24
+        rows = seesaw_case_study(F(3, 4), F(1, 4), MAX_CASE_STUDY_N, 2)
+        assert [(r.n, r.m) for r in rows[-2:]] == [(24, 1), (24, 2)]
+        with pytest.raises(DomainError, match="n_max = 25 is more than 24"):
+            seesaw_case_study(F(3, 4), F(1, 4), MAX_CASE_STUDY_N + 1, 2)
 
     def test_no_hit_returns_none(self):
         rows = seesaw_case_study(F(1, 2), F(1, 2), 3, 8)
