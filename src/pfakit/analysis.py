@@ -44,13 +44,18 @@ from .errors import BudgetExceeded, DomainError, EmptyCycle
 from .matrices import int_mat_pow, solve_sparse
 
 
+# Most distinct beliefs a search may hold when its budget sets no cap of its
+# own. The bundled tests and benchmark stay under 6000.
+MAX_SEARCH_BELIEFS = 100_000
+
+
 @dataclass(frozen=True)
 class SearchBudget:
     """Limits for :func:`value_lower_bound`.
 
-    ``beam_width`` 0 means exhaustive (no beam); ``max_distribution_states``
-    0 means no cap, otherwise exceeding this many distinct beliefs raises
-    :class:`BudgetExceeded`.
+    ``beam_width`` 0 means exhaustive (no beam). Exceeding
+    ``max_distribution_states`` distinct beliefs raises
+    :class:`BudgetExceeded`; 0 means the cap is ``MAX_SEARCH_BELIEFS``.
     """
 
     max_word_length: int
@@ -97,6 +102,7 @@ def value_lower_bound(
     Beliefs are gcd-reduced integer ``(belief, scale)`` pairs, so equal ones
     share a key. A :class:`BudgetExceeded` error keeps the incumbent.
     """
+    cap = budget.max_distribution_states or MAX_SEARCH_BELIEFS
     k = _kernel(pa)
     letters = list(zip(pa.alphabet, k.lookup(k.rows, pa.alphabet)))
     live = frozenset(k.index[s] for s in states_reaching(pa, pa.final))
@@ -119,9 +125,9 @@ def value_lower_bound(
                 if key in seen:
                     continue
                 seen.add(key)
-                if budget.max_distribution_states and len(seen) > budget.max_distribution_states:
+                if len(seen) > cap:
                     raise BudgetExceeded(
-                        f"more than {budget.max_distribution_states} distinct beliefs",
+                        f"more than {cap} distinct beliefs",
                         word=best_word,
                         value=Fraction(best, best_scale),
                     )

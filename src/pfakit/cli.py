@@ -448,7 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = _command(sub, "search", "bounded search for a high-acceptance word", _cmd_search)
     p.add_argument("--max-len", type=int, default=8)
     p.add_argument("--beam", type=int, default=0, help="0 = exhaustive")
-    p.add_argument("--max-beliefs", type=int, default=0, help="0 = unlimited")
+    p.add_argument("--max-beliefs", type=int, default=0,
+                   help="0 = the library's cap, analysis.MAX_SEARCH_BELIEFS")
 
     p = _command(sub, "fair-coin", "compile to the biased-coin automaton", _cmd_fair_coin)
     p.add_argument("--lambda", dest="lam", type=parse_rational, required=True)

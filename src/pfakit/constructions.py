@@ -11,8 +11,8 @@ Three constructions live here, plus their word-level encodings:
   support automaton with a single probabilistic transition. Probed words
   (:func:`hat`) drive it through check/apply micro-steps; an embedded
   deterministic checker polices the probe format. The builder writes the
-  checker's moves straight into the support automaton's target table, so the
-  checker as an automaton of its own (:func:`fairness_dfa`,
+  support automaton's integer rows directly, the checker's moves included, so
+  the checker as an automaton of its own (:func:`fairness_dfa`,
   ``SimulationNPA.checker``) is built only when asked for.
 * :func:`buchi_reduction` lifts a finite-word automaton to an infinite-word
   one by adding a restart letter ``#`` from accepting states.
@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product, repeat
 from typing import Mapping, Sequence
 
 from .core import (
@@ -31,6 +30,7 @@ from .core import (
     NumberlessAutomaton,
     ProbAutomaton,
     Skeleton,
+    TargetTable,
     dirac,
     require_simple,
 )
@@ -359,7 +359,7 @@ class SimulationNPA:
     ``npa`` has exactly one probabilistic (multi-target) pair: (coin, $) with
     support {heads, tails, skip}. ``state_order`` is the coin-automaton state
     enumeration that :func:`hat` and the embedded checker agree on. The
-    checker's moves are rows of ``npa``'s own table, read from
+    checker's moves are entries of ``npa``'s own integer rows, read from
     ``checker_initial``; :attr:`checker` is the checker as an automaton of its
     own, built on first use.
     """
@@ -386,15 +386,16 @@ class SimulationNPA:
         return fairness_dfa(self.b_alphabet, self.state_order)
 
     def well_formed(self, word: Sequence[str]) -> bool:
-        """``dfa_accepts(self.checker, word)``, walked on the npa's own table."""
+        """``dfa_accepts(self.checker, word)``, walked on the npa's own rows."""
         table = self.npa.support.table  # type: ignore[attr-defined]
-        state = self.checker_initial
+        rows, start = table.rows, table.index[self.checker_initial]
+        state = start
         for c in word:
             try:
-                (state,) = table[(state, c)]
+                state = rows[c][state]
             except KeyError:
                 raise UnknownLetter(f"letter {c!r} not in the checker's alphabet") from None
-        return state == self.checker_initial  # the checker's one accepting state
+        return state == start  # the checker's one accepting state
 
 
 def _probe_skeleton(a: ProbAutomaton) -> _CoinSkeleton:
@@ -418,8 +419,9 @@ def build_simulation(a: ProbAutomaton) -> SimulationNPA:
     through the single probabilistic coin toss at (coin, $); next_transition
     returns committed mass to the left copy; next_word settles accounts
     (accepting left mass enters the checker's accepting track, the rest dies,
-    waiting mass restarts). Undrawn combinations stay put. Rows are written
-    straight into the target table, idle rows in bulk.
+    waiting mass restarts). Undrawn combinations stay put. The npa's integer
+    rows are written directly: each letter's row starts as a copy of the idle
+    row, and the letter's own moves overwrite a few entries.
     """
     skel = _probe_skeleton(a)
     order = skel.states
@@ -437,33 +439,36 @@ def build_simulation(a: ProbAutomaton) -> SimulationNPA:
         + checker_states
     )
 
-    table: dict[tuple[str, str], tuple[str, ...]] = {}
+    index = {s: i for i, s in enumerate(states)}
+    coin_i, heads_i, tails_i, skip_i, wait_i = (index[x] for x in (coin, heads, tails, skip, wait))
+    sink_i, start_i = index[sink], index[start]
+    # Every state idles on every letter, except the checker's, which fall
+    # into its sink; the letters' own moves overwrite these rows.
+    idle = list(range(len(states) - len(checker_states))) + [sink_i] * len(checker_states)
+    rows = {c: idle.copy() for c in alphabet}
     # Left copies: check(_, q) hands q's mass to the coin, next_word settles it.
     for q in order:
-        table.update(zip(product((left[q],), alphabet), repeat((left[q],))))
-        table.update(((left[q], check_letter(b, q)), (coin,)) for b in skel.alphabet)
-        table[(left[q], NEXT_WORD)] = (start,) if q in skel.final else (sink,)
+        for b in skel.alphabet:
+            rows[check_letter(b, q)][index[left[q]]] = coin_i
+        rows[NEXT_WORD][index[left[q]]] = start_i if q in skel.final else sink_i
     # Right copies: only next_transition moves them back.
     for q in order:
-        table.update(zip(product((right[q],), alphabet), repeat((right[q],))))
-        table[(right[q], NEXT_TRANSITION)] = (left[q],)
-    # Center: each probe letter is classified once.
-    for c in alphabet:
-        kind = parse_sim_letter(c)
-        table[(coin, c)] = (heads, tails, skip) if c == DOLLAR else (coin,)
-        if kind[0] == "apply":
-            t_lam, t_other = skel.branch[(kind[2], kind[1])]
-            table[(heads, c)] = (right[t_lam],)
-            table[(tails, c)] = (right[t_other],)
-            table[(skip, c)] = (wait,)
-        else:
-            table[(heads, c)] = (heads,)
-            table[(tails, c)] = (tails,)
-            table[(skip, c)] = (skip,)
-        table[(wait, c)] = (left[skel.initial],) if c == NEXT_WORD else (wait,)
-    # The checker runs itself on every letter: its moves, and the sink elsewhere.
-    table.update(zip(product(checker_states, alphabet), repeat((sink,))))
-    table.update((pair, (t,)) for pair, t in moves.items())
+        rows[NEXT_TRANSITION][index[right[q]]] = index[left[q]]
+    # Center: $ tosses the coin, apply(b, q) fires (q, b)'s branches, and
+    # next_word restarts the waiting mass.
+    rows[DOLLAR][coin_i] = heads_i  # the first of its targets
+    multi = {(coin, DOLLAR): (heads, tails, skip)}
+    for b in skel.alphabet:
+        for q in order:
+            t_lam, t_other = skel.branch[(q, b)]
+            row = rows[apply_letter(b, q)]
+            row[heads_i], row[tails_i], row[skip_i] = (
+                index[right[t_lam]], index[right[t_other]], wait_i)
+    rows[NEXT_WORD][wait_i] = index[left[skel.initial]]
+    # The checker's real moves; its other entries stay at its sink.
+    for (s, c), t in moves.items():
+        rows[c][index[s]] = index[t]
+    table = TargetTable(states, alphabet, rows, multi)
 
     npa = NumberlessAutomaton.from_targets(states, alphabet, left[skel.initial], table, {start})
     return SimulationNPA(
@@ -489,7 +494,7 @@ def instantiate_simulation(
 
     The first call on ``sim`` caches the :class:`~pfakit.core.Skeleton` of
     ``sim.npa`` on it, with (coin, $) as its one open pair; every instance of
-    ``sim`` shares those integer rows and carries only its own coin toss.
+    ``sim`` shares the npa's integer rows and carries only its own coin toss.
     """
     lam = Fraction(lam)
     theta = Fraction(theta)

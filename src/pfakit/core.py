@@ -33,9 +33,15 @@ denominator. Such a matrix (or a power of it) can stand in for its word as a
 single step of :func:`word_matrix` and :func:`accept_steps`, which is how long
 parametric words are evaluated without reading every letter.
 
-A :class:`Skeleton` holds the single-target pairs of a support automaton as
-such integer rows. Automata instantiated on it share the rows and carry only
-their few multi-target distributions; their ``delta`` is a read-only view.
+A :class:`NumberlessAutomaton` keeps its support in the same integer form, a
+:class:`TargetTable`: per letter, a list over source states holding the index
+of the first target in state order, plus a small dict of the pairs with
+several targets. :func:`~pfakit.constructions.build_simulation` writes these
+rows directly; a per-pair table or a set of triples is compiled into them once,
+when the automaton is constructed. A :class:`Skeleton` shares a support
+automaton's rows and leaves its multi-target pairs open; automata instantiated
+on it share the rows too and carry only their open distributions, and their
+``delta`` is a read-only view.
 """
 
 from __future__ import annotations
@@ -46,7 +52,6 @@ from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -252,21 +257,122 @@ def _check_delta(states, alphabet, state_set, delta) -> None:
     raise ValidationError(f"delta has entries for unknown pairs {sorted(extra)}")
 
 
+class TargetTable(Mapping):
+    """Each (state, letter) pair's targets, stored as integer rows.
+
+    ``rows[letter][i]`` is the index of the first target, in state order, of
+    ``(states[i], letter)``; ``multi`` maps each pair with more than one
+    target to all of them, in state order. As a mapping it is read-only and
+    lists the pairs in states x alphabet order.
+    """
+
+    __slots__ = ("states", "alphabet", "index", "rows", "multi", "singles")
+
+    def __init__(self, states: Sequence[str], alphabet: Sequence[str],
+                 rows: dict[str, list[int]], multi: dict[tuple[str, str], tuple[str, ...]]):
+        self.states, self.alphabet = tuple(states), tuple(alphabet)
+        self.rows, self.multi = rows, multi
+        self.index = {s: i for i, s in enumerate(self.states)}
+        self.singles = [(s,) for s in self.states]  # shared single-target tuples
+
+    def __getitem__(self, key) -> tuple[str, ...]:
+        try:
+            hits = self.multi.get(key)
+            if hits is not None:
+                return hits
+            s, a = key
+            return self.singles[self.rows[a][self.index[s]]]
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(key) from None
+
+    def __iter__(self):
+        return product(self.states, self.alphabet)
+
+    def __len__(self) -> int:
+        return len(self.states) * len(self.alphabet)
+
+    def ordered(self) -> list[tuple[str, ...]]:
+        """Every pair's targets in states x alphabet order, read from the rows."""
+        return _pair_order(self.index, self.alphabet, self.rows, self.singles, self.multi)
+
+    def rows_fit(self) -> bool:
+        """True iff every row holds one int in range(n) per state and every
+        multi-target pair is a known pair with its targets in state order,
+        the first of them in its row."""
+        n, index, rows = len(self.states), self.index, self.rows
+        in_range = frozenset(range(n))
+        if not (rows.keys() == set(self.alphabet)
+                and all(r.__class__ is list and len(r) == n for r in rows.values())
+                and all(map(in_range.issuperset, rows.values()))
+                and set(map(type, chain.from_iterable(rows.values()))) == {int}):
+            return False
+        for (s, a), hits in self.multi.items():
+            at = [index.get(t) for t in hits]
+            if not (hits.__class__ is tuple and len(at) > 1 and None not in at
+                    and at == sorted(set(at)) and s in index and a in rows
+                    and rows[a][index[s]] == at[0]):
+                return False
+        return True
+
+
+def _pair_order(index, alphabet, rows, values, overrides) -> list:
+    """``values[rows[a][index[s]]]`` for every pair (s, a) in states x alphabet
+    order, with the pairs of ``overrides`` taking its values instead."""
+    per_state = zip(*(rows[a] for a in alphabet))  # each state's targets
+    out = list(map(values.__getitem__, chain.from_iterable(per_state)))
+    letter = {a: j for j, a in enumerate(alphabet)}
+    for (s, a), v in overrides.items():
+        out[index[s] * len(letter) + letter[a]] = v
+    return out
+
+
+def _compile_targets(states, alphabet, table: Mapping) -> TargetTable:
+    """The :class:`TargetTable` of a caller's per-pair table, validated.
+
+    The row build itself stops on an unknown id or an entry without targets;
+    only then is the table walked, in its own order, to name the first
+    offender. Entries without targets are dropped before totality is checked.
+    """
+    index = {s: i for i, s in enumerate(states)}
+    rows = {a: [0] * len(states) for a in alphabet}
+    try:
+        # Only lists and multi-target or empty entries need normalising.
+        odd = {pair: tuple(sorted(set(hits), key=index.__getitem__))
+               for pair, hits in table.items() if len(hits) != 1 or hits.__class__ is not tuple}
+        for (s, a), hits in ({**table, **odd} if odd else table).items():
+            rows[a][index[s]] = index[hits[0]]
+    except (KeyError, IndexError):
+        for (s, a), hits in table.items():
+            for t in hits:
+                if s not in index or t not in index or a not in rows:
+                    bad = "letter" if s in index and t in index else "state"
+                    raise ValidationError(
+                        f"support triple {(s, a, t)!r} uses unknown {bad}") from None
+        return _compile_targets(states, alphabet, {p: hits for p, hits in table.items() if hits})
+    if len(table) != len(states) * len(alphabet):
+        s, a = next(pair for pair in product(states, alphabet) if pair not in table)
+        raise ValidationError(f"no support for ({s!r}, {a!r}); automata must be total")
+    multi = {pair: hits for pair, hits in odd.items() if len(hits) > 1}
+    return TargetTable(states, alphabet, rows, multi)
+
+
 class SupportTriples(Set):
-    """The (state, letter, target) triples of a target table, as a read-only set."""
+    """The (state, letter, target) triples of a :class:`TargetTable`, as a read-only set."""
 
     __slots__ = ("table", "size")
     __hash__ = Set._hash
 
-    def __init__(self, table: dict[tuple[str, str], tuple[str, ...]]):
-        self.table, self.size = table, sum(map(len, table.values()))
+    def __init__(self, table: TargetTable):
+        self.table = table
+        self.size = len(table) + sum(len(hits) - 1 for hits in table.multi.values())
 
     def __contains__(self, triple) -> bool:
         return (isinstance(triple, tuple) and len(triple) == 3
                 and triple[2] in self.table.get(triple[:2], ()))
 
     def __iter__(self):
-        return ((s, a, t) for (s, a), hits in self.table.items() for t in hits)
+        table = self.table
+        return ((s, a, t) for (s, a), hits in zip(table, table.ordered()) for t in hits)
 
     def __len__(self) -> int:
         return self.size
@@ -277,8 +383,11 @@ class NumberlessAutomaton:
     """A support-level automaton: who can go where, with the numbers erased.
 
     ``support`` is a set of (state, letter, target) triples, kept as the
-    :class:`SupportTriples` of its per-pair target table; :meth:`from_targets`
-    takes that table directly. Totality is required: every (state, letter)
+    :class:`SupportTriples` of a :class:`TargetTable`: integer rows, one
+    target index per state and letter, plus the few pairs with several
+    targets. :meth:`from_targets` takes a per-pair table instead of triples;
+    a :class:`TargetTable` over the same states and letters is kept as it is,
+    once its rows are checked. Totality is required: every (state, letter)
     pair has at least one target.
     """
 
@@ -299,36 +408,22 @@ class NumberlessAutomaton:
         object.__setattr__(self, "final", frozenset(self.final))
         _check_ids("state", self.states)
         _check_ids("letter", self.alphabet)
-        order = {s: i for i, s in enumerate(self.states)}
-        if self.initial not in order:
+        if self.initial not in self.states:
             raise ValidationError(f"initial state {self.initial!r} not among states")
-        if stray := self.final - order.keys():
+        if stray := self.final - frozenset(self.states):
             raise ValidationError(f"final states {sorted(stray)} not among states")
-        grouped = self.support  # a table from from_targets, else triples
-        if not isinstance(grouped, Mapping):
-            grouped = {}
+        table = self.support  # triples, or a table from from_targets
+        if isinstance(table, SupportTriples):
+            table = table.table
+        elif not isinstance(table, Mapping):
+            table = {}
             for s, a, t in self.support:
-                grouped.setdefault((s, a), []).append(t)
-        table = dict(grouped)
-        # Checked in bulk; the walk only runs to name the first offender.
-        state_set, letter_set = frozenset(order), frozenset(self.alphabet)
-        if not (state_set.issuperset(map(itemgetter(0), table))
-                and letter_set.issuperset(map(itemgetter(1), table))
-                and state_set.issuperset(chain.from_iterable(table.values()))):
-            for (s, a), hits in table.items():
-                for t in hits:
-                    if s not in order or t not in order or a not in letter_set:
-                        bad = "letter" if s in order and t in order else "state"
-                        raise ValidationError(f"support triple {(s, a, t)!r} uses unknown {bad}")
-        # Only lists and multi-target or empty entries need normalising.
-        for pair in [p for p, hits in table.items() if len(hits) != 1 or hits.__class__ is not tuple]:
-            if hits := table[pair]:
-                table[pair] = tuple(sorted(set(hits), key=order.__getitem__))
-            else:
-                del table[pair]
-        if len(table) != len(self.states) * len(self.alphabet):
-            s, a = next((s, a) for s in self.states for a in self.alphabet if (s, a) not in table)
-            raise ValidationError(f"no support for ({s!r}, {a!r}); automata must be total")
+                table.setdefault((s, a), []).append(t)
+        if not isinstance(table, TargetTable) or (table.states, table.alphabet) != (
+                self.states, self.alphabet):
+            table = _compile_targets(self.states, self.alphabet, table)
+        elif not table.rows_fit():
+            raise ValidationError("support rows need one state index per state and letter")
         object.__setattr__(self, "support", SupportTriples(table))
 
     def targets(self, state: str, letter: str) -> tuple[str, ...]:
@@ -382,14 +477,15 @@ def complete_with_sink(
 
 
 class Skeleton:
-    """The single-target pairs of a support automaton, as integer rows.
+    """A support automaton's integer rows, with a few pairs left open.
 
-    ``rows[letter][i]`` is the index of the one target of
-    ``(states[i], letter)``. The ``open`` pairs may have several targets;
-    :meth:`instantiate` gives them distributions. Every automaton built that
-    way shares these rows: it holds only its open distributions, and its
-    ``delta`` is a read-only view that answers the other pairs with Diracs.
-    The skeleton keeps no reference to the support automaton it came from.
+    ``rows[letter][i]`` is the index of the first target of
+    ``(states[i], letter)``: the support automaton's own rows, shared, not
+    copied. Every pair outside ``open`` must have one target; the ``open``
+    pairs may have several, and :meth:`instantiate` gives them distributions.
+    Every automaton built that way shares these rows: it holds only its open
+    distributions, and its ``delta`` is a read-only view that answers the
+    other pairs with Diracs.
     """
 
     __slots__ = ("states", "alphabet", "initial", "final", "open", "index", "rows", "diracs")
@@ -398,17 +494,12 @@ class Skeleton:
         self.states, self.alphabet = npa.states, npa.alphabet
         self.initial, self.final = npa.initial, npa.final
         self.open = {(s, a): frozenset(npa.targets(s, a)) for s, a in sorted(open_pairs)}
-        self.index = index = {s: i for i, s in enumerate(npa.states)}
         table = npa.support.table  # type: ignore[attr-defined]
-        # Every pair has a target, so the targets beyond one per pair are the
-        # open pairs' exactly when no other pair has several.
-        if len(npa.support) - len(table) != sum(len(t) - 1 for t in self.open.values()):
+        if not self.open.keys() >= table.multi.keys():
             s, a = next(pair for pair in product(npa.states, npa.alphabet)
-                        if len(table[pair]) != 1 and pair not in self.open)
+                        if pair in table.multi and pair not in self.open)
             raise ValidationError(f"unexpected probabilistic pair ({s!r}, {a!r})")
-        self.rows = rows = {a: [0] * len(npa.states) for a in npa.alphabet}
-        for (s, a), hits in table.items():  # in table order: no key is rebuilt
-            rows[a][index[s]] = index[hits[0]]
+        self.index, self.rows = table.index, table.rows
         self.diracs = [Distribution._exact(((s, ONE),)) for s in npa.states]
 
     def instantiate(self, spec: Mapping[tuple[str, str], Distribution]) -> ProbAutomaton:
@@ -467,12 +558,7 @@ def ordered_delta(pa: ProbAutomaton) -> list[Distribution]:
     if not isinstance(delta, _SkeletonDelta):
         return list(map(delta.__getitem__, product(pa.states, pa.alphabet)))
     skel = delta.skeleton
-    per_state = zip(*(skel.rows[a] for a in pa.alphabet))  # each state's targets
-    out = list(map(skel.diracs.__getitem__, chain.from_iterable(per_state)))
-    letter = {a: j for j, a in enumerate(pa.alphabet)}
-    for (s, a), d in delta.spec.items():
-        out[skel.index[s] * len(letter) + letter[a]] = d
-    return out
+    return _pair_order(skel.index, pa.alphabet, skel.rows, skel.diracs, delta.spec)
 
 
 # --- the compiled integer kernel -------------------------------------------------
@@ -744,7 +830,8 @@ def instantiate(
     triples; the first violation is reported with its direction (missing mass
     on a support triple vs. extra mass outside the support).
     """
-    for s, a in sorted(delta_spec.keys() - npa.support.table.keys()):
+    table = npa.support.table  # type: ignore[attr-defined]
+    for s, a in sorted(pair for pair in delta_spec if pair not in table):
         raise InconsistentSupport(f"distribution given for unknown pair ({s!r}, {a!r})")
     for s in npa.states:
         for a in npa.alphabet:

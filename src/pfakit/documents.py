@@ -14,10 +14,11 @@ order), "to" keys in state order, final states in state order, trailing
 newline: what ``json.dumps(..., indent=2)`` prints. One writer fills a fixed
 template per transition record, escaping strings with json's own
 ``encode_basestring_ascii`` and rendering each distinct "to" value once;
-serialize_automaton writes straight from the automaton's table (a skeleton
-view's integer rows). serialize_document(parse_document(text)) == text for
-canonical text; expression strings are preserved verbatim, and loading
-evaluates each distinct one once.
+serialize_automaton writes straight from the automaton's table (the integer
+rows of an npa or of a skeleton view).
+serialize_document(parse_document(text)) == text for canonical text;
+expression strings are preserved verbatim, and loading evaluates each
+distinct one once.
 
 parse_document checks the records' shapes in bulk, by the set of types in
 each field, and walks the records only when a check fails, to name the first
@@ -36,7 +37,7 @@ from collections import deque
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product, repeat
+from itertools import chain, repeat
 from typing import Union
 
 from .core import (
@@ -462,7 +463,7 @@ def serialize_automaton(obj: Automaton, name: str | None = None) -> str:
     """The canonical document of ``obj``, written straight from its table."""
     if isinstance(obj, NumberlessAutomaton):
         kind, pa, final = "npa", obj, obj.final
-        tos = list(map(obj.support.table.__getitem__, product(obj.states, obj.alphabet)))
+        tos = obj.support.table.ordered()  # type: ignore[attr-defined]
     elif isinstance(obj, BuchiAutomaton):
         kind, pa, final = "pba", obj.automaton, obj.accepting
         tos = ordered_delta(pa)
@@ -474,17 +475,16 @@ def serialize_automaton(obj: Automaton, name: str | None = None) -> str:
     order = {s: i for i, s in enumerate(pa.states)}
     letters = [_quote(c) for c in pa.alphabet]
     k = len(letters)
-    # One rendering per target tuple, or per Distribution object: tables share
-    # their Diracs, and the table keeps each object (so its id) alive.
+    # One rendering per target tuple or Distribution object: tables share one
+    # tuple or Dirac per target state, and keep each object (so its id) alive.
     rendered: dict = {}
     records = []
     for i, s in enumerate(pa.states):
         source = _quote(s)
         for letter, to in zip(letters, tos[i * k:i * k + k]):
-            key = to if kind == "npa" else id(to)
-            text = rendered.get(key)
+            text = rendered.get(id(to))
             if text is None:
-                text = rendered[key] = _to_value(to, order.__getitem__)
+                text = rendered[id(to)] = _to_value(to, order.__getitem__)
             records.append(_RECORD % (source, letter, text))
     return _render(kind, name, (), pa.states, pa.alphabet, pa.initial,
                    sorted(final, key=order.__getitem__), records)

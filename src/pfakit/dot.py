@@ -36,23 +36,23 @@ def export_dot(obj: Union[ProbAutomaton, NumberlessAutomaton, BuchiAutomaton]) -
 
     order = {s: i for i, s in enumerate(obj.states)}
     # Stacked labels keep their literal \n separators, so letters escape quotes only.
-    letters = [(c, c.replace('"', '\\"')) for c in obj.alphabet]
+    letters = [c.replace('"', '\\"') for c in obj.alphabet]
     k = len(letters)
     if isinstance(obj, ProbAutomaton):
         rows = ordered_delta(obj)  # in states x alphabet order
 
-        def fragments(i, s):
-            return ((t, f"{e}, {p}") for (_, e), d in zip(letters, rows[i * k:i * k + k])
+        def fragments(i):
+            return ((t, f"{e}, {p}") for e, d in zip(letters, rows[i * k:i * k + k])
                     for t, p in d.items())
     else:
-        table = obj.support.table
+        tos = obj.support.table.ordered()  # in states x alphabet order
 
-        def fragments(i, s):
-            return ((t, e) for c, e in letters for t in table[(s, c)])
+        def fragments(i):
+            return ((t, e) for e, ts in zip(letters, tos[i * k:i * k + k]) for t in ts)
 
     for i, s in enumerate(obj.states):
         labels: dict[str, list[str]] = {}  # target -> label fragments, alphabet order
-        for t, fragment in fragments(i, s):
+        for t, fragment in fragments(i):
             labels.setdefault(t, []).append(fragment)
         for t in sorted(labels, key=order.__getitem__):
             label = "\\n".join(labels[t])

@@ -47,6 +47,13 @@ MAX_CASE_STUDY_M = 8192
 # Largest n_max of seesaw_case_study; the digits grow with n too. At m = 8192,
 # x = 3/4, y = 1/4: about 4 s at n_max = 20, 5 s at 24 and 12 s at 32 (same VM).
 MAX_CASE_STUDY_N = 24
+# Most bits seesaw_case_study's values may reach, by the estimate
+# m_max * (1 + n_max * (bits of x's denominator + bits of y's)). The work
+# grows with them (same VM): 1.4 s at 495 616 bits ((20, 4096), x = 3/4,
+# y = 1/4), 2.6 s at 659 456 ((20, 4096), 7/8, 3/8), 4.6 s at 991 232
+# ((20, 8192), 3/4, 1/4). The CLI defaults (20, 4096) pass while both
+# denominators are below 64.
+MAX_CASE_STUDY_BITS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -363,8 +370,11 @@ def seesaw_case_study(
 
     One squaring chain per n: the integer matrix of i a^n f, built by the
     compiled kernel, is squared repeatedly, so the m axis costs one
-    multiplication per row. An ``m_max`` above ``MAX_CASE_STUDY_M``, or an
-    ``n_max`` above ``MAX_CASE_STUDY_N``, raises DomainError before any work.
+    multiplication per row. An ``m_max`` above ``MAX_CASE_STUDY_M``, an
+    ``n_max`` above ``MAX_CASE_STUDY_N``, or values estimated to reach more
+    than ``MAX_CASE_STUDY_BITS`` bits raise DomainError before any work. The
+    matrix of i a^n f has a denominator of at most 2 (dx dy)^n, where dx and
+    dy are the denominators of x and y, and its m-th power that to the m.
     """
     x, y, eps = Fraction(x), Fraction(y), Fraction(eps)
     if n_max < 0 or m_max < 1:
@@ -373,6 +383,12 @@ def seesaw_case_study(
         raise DomainError(f"m_max = {m_max} is more than {MAX_CASE_STUDY_M}")
     if n_max > MAX_CASE_STUDY_N:
         raise DomainError(f"n_max = {n_max} is more than {MAX_CASE_STUDY_N}")
+    bits = m_max * (1 + n_max * (x.denominator.bit_length() + y.denominator.bit_length()))
+    if bits > MAX_CASE_STUDY_BITS:
+        raise DomainError(
+            f"values of about {bits} bits at n_max = {n_max}, m_max = {m_max} and these"
+            f" denominators of x and y, more than {MAX_CASE_STUDY_BITS}"
+        )
     pa = seesaw_pa(x, y)
     index = {s: i for i, s in enumerate(pa.states)}
     init = index[pa.initial]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import lasso_oracle, seesaw_closed_form
+from pfakit import analysis
 from pfakit import (
     BudgetExceeded,
     Distribution,
@@ -67,6 +68,19 @@ class TestBudget:
         e = info.value
         assert (e.word, e.value) == (tuple("iafif"), F(5, 8))
         assert accept_prob(seesaw_fast, e.word) == e.value
+
+    def test_no_cap_means_the_module_cap(self, seesaw_fast, monkeypatch):
+        assert analysis.MAX_SEARCH_BELIEFS == 100_000
+        capped = SearchBudget(max_word_length=8, max_distribution_states=1000)
+        want = value_lower_bound(seesaw_fast, capped)
+        monkeypatch.setattr(analysis, "MAX_SEARCH_BELIEFS", 20)
+        with pytest.raises(BudgetExceeded) as info:
+            value_lower_bound(seesaw_fast, SearchBudget(max_word_length=8))
+        e = info.value
+        assert str(e) == "more than 20 distinct beliefs"
+        assert (e.word, e.value) == (tuple("iafif"), F(5, 8))
+        # A cap of the budget's own replaces the module's.
+        assert value_lower_bound(seesaw_fast, capped) == want
 
 
 class TestStatesReaching:

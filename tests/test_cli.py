@@ -479,6 +479,32 @@ class TestWorkBounds:
         assert err == "error: n_max = 1000000000 is more than 24\n"
 
 
+    def test_case_study_beyond_the_bits_bound(self, capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the case study started before its bound was checked")
+
+        monkeypatch.setattr("pfakit.verification.seesaw_pa", no_work)
+        code, out, err = run(
+            capsys, "case-study", "--x", "1/1" + "0" * 39, "--y", "1/4",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: values of about 10899456 bits at n_max = 20, m_max = 4096 and these"
+            " denominators of x and y, more than 1000000\n"
+        )
+
+    def test_search_beyond_the_belief_bound(self, capsys, monkeypatch, seesaw_doc):
+        monkeypatch.setattr("pfakit.analysis.MAX_SEARCH_BELIEFS", 20)
+        code, out, err = run(
+            capsys, "search", "--automaton", seesaw_doc, "--set", "x=3/4", "--set", "y=1/4",
+            "--max-len", "10",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: more than 20 distinct beliefs\n"
+
+
 class TestParser:
     def test_built_once_and_bindings_stay_apart(self, capsys, seesaw_doc):
         assert build_parser() is build_parser()

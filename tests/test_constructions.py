@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import raw_accept, raw_reach
 from pfakit.constructions import MAX_ENCODED_LETTERS
+from pfakit.core import Skeleton
 from pfakit import (
     NEXT_TRANSITION,
     NEXT_WORD,
@@ -17,6 +19,7 @@ from pfakit import (
     DomainError,
     InconsistentSupport,
     NotSimple,
+    NumberlessAutomaton,
     OrderMismatch,
     UnknownLetter,
     ValidationError,
@@ -375,9 +378,33 @@ class TestTableBuiltSimulation:
         states, alphabet, initial, table = _reference_simulation(a)
         assert (sim.npa.states, sim.npa.alphabet, sim.npa.initial) == (states, alphabet, initial)
         assert sim.npa.final == frozenset({"D:start"})
-        assert list(sim.npa.support.table.items()) == list(table.items())
+        assert len(table) == len(states) * len(alphabet)
+        assert list(sim.npa.support.table.items()) == [
+            (pair, table[pair]) for pair in itertools.product(states, alphabet)
+        ]
+        assert all(sim.npa.targets(*pair) == hits for pair, hits in table.items())
         assert sim.checker == fairness_dfa(sim.b_alphabet, sim.state_order)
         assert "checker" not in {f.name for f in dataclasses.fields(sim)}  # built on demand
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_rows_equal_the_compiled_reference(self, shape):
+        sim = _sim_of_shape(shape)
+        states, alphabet, initial, table = _reference_simulation(random_simple_pa(7, *shape))
+        from_table = NumberlessAutomaton.from_targets(states, alphabet, initial, table, {"D:start"})
+        triples = {(s, c, t) for (s, c), hits in table.items() for t in hits}
+        from_triples = NumberlessAutomaton(states, alphabet, initial, triples, {"D:start"})
+        assert sim.npa == from_table == from_triples
+        for npa in (from_table, from_triples):
+            assert npa.support.table.rows == sim.npa.support.table.rows
+            assert npa.support.table.multi == sim.npa.support.table.multi
+        assert sim.npa.support.table.multi == {(sim.coin, "$"): (sim.heads, sim.tails, sim.skip)}
+
+    def test_skeleton_shares_the_rows(self):
+        sim = build_simulation(random_simple_pa(7, 2, 1))
+        rows = sim.npa.support.table.rows
+        assert Skeleton(sim.npa, {(sim.coin, "$")}).rows is rows
+        c = instantiate_simulation(sim, F(1, 3), F(1, 4))
+        assert c.delta.skeleton.rows is rows
 
     @settings(max_examples=150, deadline=None)
     @given(

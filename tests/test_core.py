@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import raw_accept, raw_reach
-from pfakit.core import Skeleton
+from pfakit.core import Skeleton, TargetTable
 from pfakit import (
     Distribution,
     DomainError,
@@ -180,6 +180,55 @@ class TestTargetTables:
         assert npa.targets("r", "b") == ("q", "s")
         assert len(npa.support) == 8
 
+    # table() as integer rows: (q, a) goes to q and s, every other pair stays put
+    ROWS = {"a": [0, 1, 2], "b": [0, 1, 2]}
+    MULTI = {("q", "a"): ("q", "s")}
+
+    def test_rows_table_and_triples_agree(self):
+        from_rows = self.build(TargetTable(self.STATES, self.ALPHABET, self.ROWS, self.MULTI))
+        from_table = self.build(self.table())
+        triples = {(x, c, t) for (x, c), ts in self.table().items() for t in ts}
+        from_triples = NumberlessAutomaton(self.STATES, self.ALPHABET, "q", triples, {"r"})
+        assert from_rows == from_table == from_triples
+        assert hash(from_rows) == hash(from_table) == hash(from_triples)
+        for npa in (from_rows, from_table, from_triples):
+            assert (npa.support.table.rows, npa.support.table.multi) == (self.ROWS, self.MULTI)
+            assert dict(npa.support.table) == {
+                (x, c): ("q", "s") if (x, c) == ("q", "a") else (x,)
+                for x in self.STATES for c in self.ALPHABET
+            }
+            assert npa.support == frozenset(triples) and len(npa.support) == 7
+        # a table over the states in another order is compiled, not kept
+        shuffled = TargetTable(("s", "r", "q"), self.ALPHABET,
+                               {"a": [0, 1, 0], "b": [0, 1, 2]}, {("q", "a"): ("s", "q")})
+        assert self.build(shuffled) == from_rows
+
+    @pytest.mark.parametrize(
+        "rows,multi",
+        [
+            ({"a": [0, 1, 2]}, {}),
+            ({"a": [0, 1, 2], "b": [0, 1]}, {}),
+            ({"a": [0, 1, 3], "b": [0, 1, 2]}, {}),
+            ({"a": [0, 1, -1], "b": [0, 1, 2]}, {}),
+            ({"a": [0, 1.0, 2], "b": [0, 1, 2]}, {}),
+            ({"a": [0, True, 2], "b": [0, 1, 2]}, {}),
+            ({"a": (0, 1, 2), "b": [0, 1, 2]}, {}),
+            ({"a": [2, 1, 2], "b": [0, 1, 2]}, {("q", "a"): ("q", "s")}),
+            ({"a": [2, 1, 2], "b": [0, 1, 2]}, {("q", "a"): ("s", "q")}),
+            ({"a": [0, 1, 2], "b": [0, 1, 2]}, {("q", "a"): ("q",)}),
+            ({"a": [0, 1, 2], "b": [0, 1, 2]}, {("q", "a"): ["q", "s"]}),
+            ({"a": [0, 1, 2], "b": [0, 1, 2]}, {("q", "a"): ("q", "ghost")}),
+            ({"a": [0, 1, 2], "b": [0, 1, 2]}, {("ghost", "a"): ("q", "s")}),
+            ({"a": [0, 1, 2], "b": [0, 1, 2]}, {("q", "z"): ("q", "s")}),
+        ],
+        ids=["missing-letter", "short-row", "index-too-big", "negative-index", "float",
+             "bool", "tuple-row", "row-not-first-target", "unsorted-targets", "one-target",
+             "list-targets", "unknown-target", "unknown-source", "unknown-letter"],
+    )
+    def test_rows_checked(self, rows, multi):
+        with pytest.raises(ValidationError, match="^support rows need"):
+            self.build(TargetTable(self.STATES, self.ALPHABET, rows, multi))
+
     @pytest.mark.parametrize(
         "changes,message",
         [
@@ -258,11 +307,13 @@ class TestValidationMessages:
         assert str(exc.value) == "no support for ('r', 'a'); automata must be total"
 
     def test_first_unexpected_probabilistic_pair(self):
-        # letter-major table: (s, a) comes before (r, b), which state x letter order puts first
+        # letter-major table: (s, a) comes before (r, b), which state x letter order puts
+        # first; the npa lists its pairs in that order, whatever the caller's table order
         table = {(x, c): (x,) for c in self.ALPHABET for x in self.STATES}
         table.update({("s", "a"): ("s", "q"), ("q", "a"): ("r", "q"), ("r", "b"): ("r", "s")})
         npa = self.build(table)
-        assert list(npa.support.table)[2:5] == [("s", "a"), ("q", "b"), ("r", "b")]
+        assert list(table)[2:5] == [("s", "a"), ("q", "b"), ("r", "b")]
+        assert list(npa.support.table)[2:5] == [("r", "a"), ("r", "b"), ("s", "a")]
         Skeleton(npa, {("q", "a"), ("s", "a"), ("r", "b")})
         for open_pairs, first in [
             ({("q", "a")}, "('r', 'b')"),

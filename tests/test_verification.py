@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from oracles import seesaw_closed_form
-from pfakit.verification import MAX_CASE_STUDY_M, MAX_CASE_STUDY_N
+from pfakit.verification import MAX_CASE_STUDY_BITS, MAX_CASE_STUDY_M, MAX_CASE_STUDY_N
 from pfakit import (
     NEXT_TRANSITION,
     NEXT_WORD,
@@ -273,6 +273,32 @@ class TestCaseStudy:
         assert [(r.n, r.m) for r in rows[-2:]] == [(24, 1), (24, 2)]
         with pytest.raises(DomainError, match="n_max = 25 is more than 24"):
             seesaw_case_study(F(3, 4), F(1, 4), MAX_CASE_STUDY_N + 1, 2)
+
+    def test_digits_of_x_and_y_are_bounded(self, monkeypatch):
+        class Started(Exception):
+            pass
+
+        def started(*args):
+            raise Started
+
+        monkeypatch.setattr("pfakit.verification.seesaw_pa", started)
+        assert MAX_CASE_STUDY_BITS == 1_000_000
+        # Every call of the tests and the benchmark, and the CLI's defaults
+        # (n_max 20, m_max 4096) at denominators up to 8, start their work.
+        for x, y, n_max, m_max in [
+            (F(3, 4), F(1, 4), 20, 4096), (F(7, 8), F(3, 8), 10, 512),
+            (F(3, 4), F(1, 4), 1, MAX_CASE_STUDY_M), (F(3, 4), F(1, 4), MAX_CASE_STUDY_N, 2),
+            (F(7, 8), F(5, 8), 10, 256), (F(1, 8), F(7, 8), 20, 4096),
+        ]:
+            with pytest.raises(Started):
+                seesaw_case_study(x, y, n_max, m_max)
+        big = F(1, 10**39)  # a 40-digit denominator of 130 bits
+        with pytest.raises(DomainError) as info:
+            seesaw_case_study(big, F(1, 4), 20, 4096)
+        assert str(info.value) == (
+            "values of about 10899456 bits at n_max = 20, m_max = 4096 and these"
+            " denominators of x and y, more than 1000000"
+        )
 
     def test_no_hit_returns_none(self):
         rows = seesaw_case_study(F(1, 2), F(1, 2), 3, 8)
