@@ -292,9 +292,17 @@ _PROP_KINDS = (
     "upper_witness",
 )
 
+# Most trials one battery runs: about half a millisecond each, so a few seconds.
+MAX_PROP_TRIALS = 10_000
+
 
 def prop_battery(seed: int, trials: int) -> list[tuple[int, PropReport]]:
-    """Deterministic battery cycling through the proposition oracles."""
+    """Deterministic battery cycling through the proposition oracles.
+
+    More than ``MAX_PROP_TRIALS`` trials raise DomainError before any work.
+    """
+    if trials > MAX_PROP_TRIALS:
+        raise DomainError(f"trials = {trials} is more than {MAX_PROP_TRIALS}")
     rng = random.Random(seed)
     pool_a = [
         random_simple_pa(rng.randrange(2**31), rng.randrange(2, 5), rng.randrange(1, 4))

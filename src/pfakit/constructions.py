@@ -468,7 +468,7 @@ def build_simulation(a: ProbAutomaton) -> SimulationNPA:
     # The checker's real moves; its other entries stay at its sink.
     for (s, c), t in moves.items():
         rows[c][index[s]] = index[t]
-    table = TargetTable(states, alphabet, rows, multi)
+    table = TargetTable(states, alphabet, rows, multi, int_rows=True)
 
     npa = NumberlessAutomaton.from_targets(states, alphabet, left[skel.initial], table, {start})
     return SimulationNPA(

@@ -263,15 +263,18 @@ class TargetTable(Mapping):
     ``rows[letter][i]`` is the index of the first target, in state order, of
     ``(states[i], letter)``; ``multi`` maps each pair with more than one
     target to all of them, in state order. As a mapping it is read-only and
-    lists the pairs in states x alphabet order.
+    lists the pairs in states x alphabet order. ``int_rows`` says that the
+    writer stored only exact ints, state indices it looked up itself, so
+    :meth:`rows_fit` checks their range but not their types.
     """
 
-    __slots__ = ("states", "alphabet", "index", "rows", "multi", "singles")
+    __slots__ = ("states", "alphabet", "index", "rows", "multi", "singles", "int_rows")
 
     def __init__(self, states: Sequence[str], alphabet: Sequence[str],
-                 rows: dict[str, list[int]], multi: dict[tuple[str, str], tuple[str, ...]]):
+                 rows: dict[str, list[int]], multi: dict[tuple[str, str], tuple[str, ...]],
+                 *, int_rows: bool = False):
         self.states, self.alphabet = tuple(states), tuple(alphabet)
-        self.rows, self.multi = rows, multi
+        self.rows, self.multi, self.int_rows = rows, multi, int_rows
         self.index = {s: i for i, s in enumerate(self.states)}
         self.singles = [(s,) for s in self.states]  # shared single-target tuples
 
@@ -304,7 +307,8 @@ class TargetTable(Mapping):
         if not (rows.keys() == set(self.alphabet)
                 and all(r.__class__ is list and len(r) == n for r in rows.values())
                 and all(map(in_range.issuperset, rows.values()))
-                and set(map(type, chain.from_iterable(rows.values()))) == {int}):
+                and (self.int_rows
+                     or set(map(type, chain.from_iterable(rows.values()))) == {int})):
             return False
         for (s, a), hits in self.multi.items():
             at = [index.get(t) for t in hits]
@@ -353,7 +357,7 @@ def _compile_targets(states, alphabet, table: Mapping) -> TargetTable:
         s, a = next(pair for pair in product(states, alphabet) if pair not in table)
         raise ValidationError(f"no support for ({s!r}, {a!r}); automata must be total")
     multi = {pair: hits for pair, hits in odd.items() if len(hits) > 1}
-    return TargetTable(states, alphabet, rows, multi)
+    return TargetTable(states, alphabet, rows, multi, int_rows=True)
 
 
 class SupportTriples(Set):
@@ -570,9 +574,8 @@ class _Kernel:
     ``rows[letter]`` is ``(den, row, split)``: ``split`` is the frozenset of
     source indices whose row is a tuple of (target, numerator over den) pairs,
     every other entry of ``row`` is a target index, and ``den`` is 1 when
-    ``split`` is empty. ``draws[letter]`` is the same list shape for Monte
-    Carlo, with each split row replaced by ``(lcm of the row's denominators,
-    ((target, cumulative numerator), ...))`` in sorted state order.
+    ``split`` is empty. ``draws`` is None until :func:`monte_carlo_accept`
+    first needs it (see :func:`_draws`), so exact evaluation never builds it.
     """
 
     __slots__ = ("states", "alphabet", "index", "rows", "draws", "final")
@@ -601,7 +604,7 @@ class _Kernel:
                 base[a] = row
         self.index = index
         self.rows: dict[str, tuple[int, list, frozenset[int]]] = {}
-        self.draws: dict[str, list] = {}
+        self.draws: dict[str, list] | None = None
         for a in pa.alphabet:
             self._compile_letter(a, base[a], split.get(a, ()))
         self.final = frozenset(index[s] for s in pa.final)
@@ -609,22 +612,13 @@ class _Kernel:
     def _compile_letter(self, a: str, base: list[int], split) -> None:
         if not split:
             self.rows[a] = (1, base, frozenset())
-            self.draws[a] = base
             return
         index = self.index
         den = math.lcm(*(p.denominator for _, d in split for _, p in d.items()))
-        row, draw = list(base), list(base)
+        row = list(base)
         for i, d in split:
-            items = d.items()
-            row[i] = tuple((index[t], p.numerator * (den // p.denominator)) for t, p in items)
-            row_den = math.lcm(*(p.denominator for _, p in items))
-            cum, table = 0, []
-            for t, p in items:
-                cum += p.numerator * (row_den // p.denominator)
-                table.append((index[t], cum))
-            draw[i] = (row_den, tuple(table))
+            row[i] = tuple((index[t], p.numerator * (den // p.denominator)) for t, p in d.items())
         self.rows[a] = (den, row, frozenset(i for i, _ in split))
-        self.draws[a] = draw
 
     def lookup(self, table: dict[str, list], word: Sequence[str]) -> list:
         """The entries of ``table`` (``rows`` or ``draws``) for each letter of
@@ -842,6 +836,33 @@ def instantiate(
     return ProbAutomaton(npa.states, npa.alphabet, npa.initial, delta_spec, npa.final)
 
 
+def _draws(k: _Kernel) -> dict[str, list]:
+    """Each letter's row for sampling, built on first use and cached on ``k``.
+
+    It is the letter's compiled row with each split entry replaced by
+    ``(lcm of the row's denominators, ((target, cumulative numerator), ...))``
+    in sorted state order; Dirac-only letters share the compiled row.
+    """
+    if k.draws is None:
+        k.draws = {}
+        for a, (den, row, split) in k.rows.items():
+            draw = list(row) if split else row
+            for i in split:
+                g = math.gcd(den, *(q for _, q in row[i]))
+                cum, table = 0, []
+                for t, q in row[i]:
+                    cum += q // g
+                    table.append((t, cum))
+                draw[i] = (den // g, tuple(table))
+            k.draws[a] = draw
+    return k.draws
+
+
+# Most sampled steps (samples x letters, or samples for the empty word) that
+# one monte_carlo_accept call may take.
+MAX_MC_STEPS = 10_000_000
+
+
 def monte_carlo_accept(
     pa: ProbAutomaton, word: Sequence[str], samples: int, seed: int
 ) -> float:
@@ -850,28 +871,59 @@ def monte_carlo_accept(
     Sampling is exact per step: at a state with several targets, a uniform
     integer below the lcm of that row's denominators picks the branch from the
     row's cumulative integer numerators, so the only approximation is the
-    Monte Carlo error itself. The tables come with the compiled form (built
-    on first evaluation and cached on ``pa``); a Dirac row costs one list
-    lookup and draws nothing.
+    Monte Carlo error itself. The draw tables are built on the first call and
+    cached with the compiled form on ``pa``.
+
+    Between two draws a run only follows Dirac rows, and where it goes is
+    fixed by where it starts. So one call keeps a memo from each (position,
+    state) at a Dirac row that a draw has led to, to the next split row that
+    run meets, or to the end of the word and whether it accepts there. The
+    samples fill it as they go; a sample then pays one draw per split row it
+    meets, plus one dict lookup when the draw lands on a Dirac row, not one
+    step per letter. The draws are the same, in number, range and order, as a
+    letter-by-letter walk makes, so every estimate is too. The memo lives for
+    one call and stops growing at len(word) + len(pa.states) entries, the
+    size of its inputs; runs it does not hold are walked letter by letter.
+    More than ``MAX_MC_STEPS`` samples x letters raise DomainError before any work.
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
+    if samples * max(1, len(word)) > MAX_MC_STEPS:
+        raise DomainError(f"{samples} samples of a {len(word)}-letter word is more than"
+                          f" {MAX_MC_STEPS} steps")
     k = _kernel(pa)
-    path = k.lookup(k.draws, word)
+    path = k.lookup(_draws(k), word)
+    n = len(k.states)
+    path.append([i in k.final for i in range(n)])  # bools end a run
+    memo: dict[int, tuple] = {}
+    room = len(word) + n
+
+    def jump(pos: int, state: int) -> tuple:
+        """``(position, entry)`` of the first split row, or of the end, that
+        a run in ``state`` before letter ``pos`` meets."""
+        key = pos * n + state
+        while (entry := path[pos][state]).__class__ is int:
+            state = entry
+            pos += 1
+        if len(memo) < room:
+            memo[key] = (pos, entry)
+        return pos, entry
+
     randrange = random.Random(seed).randrange
-    start = k.index[pa.initial]
-    final = k.final
+    get = memo.get
+    first = jump(0, k.index[pa.initial])
     hits = 0
     for _ in range(samples):
-        state = start
-        for draw in path:
-            state = draw[state]
-            if state.__class__ is not int:
-                den, table = state
-                r = randrange(den)
-                for state, cum in table:
-                    if r < cum:
-                        break
-        if state in final:
-            hits += 1
+        pos, entry = first
+        while entry.__class__ is tuple:
+            den, table = entry
+            r = randrange(den)
+            for t, cum in table:
+                if r < cum:
+                    break
+            pos += 1
+            entry = path[pos][t]
+            if entry.__class__ is int:  # a Dirac row: jump to the next split
+                pos, entry = get(pos * n + t) or jump(pos, t)
+        hits += entry
     return hits / samples

@@ -494,6 +494,29 @@ class TestWorkBounds:
             " denominators of x and y, more than 1000000\n"
         )
 
+    def test_monte_carlo_beyond_the_step_bound(self, capsys, monkeypatch, seesaw_doc):
+        def no_work(*args):
+            raise AssertionError("sampling started before its bound was checked")
+
+        monkeypatch.setattr("pfakit.core._kernel", no_work)
+        code, out, err = run(
+            capsys, "monte-carlo", "--automaton", seesaw_doc, "--set", "x=1/2", "--set", "y=1/2",
+            "--word", "i f", "--samples", str(10**12),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: 1000000000000 samples of a 2-letter word is more than 10000000 steps\n"
+
+    def test_check_props_beyond_the_trial_bound(self, capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the battery started before its bound was checked")
+
+        monkeypatch.setattr("pfakit.cli.random_simple_pa", no_work)
+        code, out, err = run(capsys, "check-props", "--trials", "10001")
+        assert code == 2
+        assert out == ""
+        assert err == "error: trials = 10001 is more than 10000\n"
+
     def test_search_beyond_the_belief_bound(self, capsys, monkeypatch, seesaw_doc):
         monkeypatch.setattr("pfakit.analysis.MAX_SEARCH_BELIEFS", 20)
         code, out, err = run(

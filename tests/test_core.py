@@ -230,6 +230,19 @@ class TestTargetTables:
             self.build(TargetTable(self.STATES, self.ALPHABET, rows, multi))
 
     @pytest.mark.parametrize(
+        "rows",
+        [{"a": [0, 1, 3], "b": [0, 1, 2]}, {"a": [0, 1, -1], "b": [0, 1, 2]},
+         {"a": [0, 1, 2], "b": [0, 1]}],
+        ids=["index-too-big", "negative-index", "short-row"],
+    )
+    def test_int_rows_are_still_checked_for_range_and_shape(self, rows):
+        """``int_rows`` spares a writer's exact ints the type check, nothing else."""
+        with pytest.raises(ValidationError, match="^support rows need"):
+            self.build(TargetTable(self.STATES, self.ALPHABET, rows, {}, int_rows=True))
+        assert self.build(TargetTable(self.STATES, self.ALPHABET, self.ROWS, self.MULTI,
+                                      int_rows=True)) == self.build(self.table())
+
+    @pytest.mark.parametrize(
         "changes,message",
         [
             ({"extra": {("ghost", "a"): ("q",)}}, "unknown state"),

@@ -7,6 +7,7 @@ shares no code with it, and with Fraction code kept in this file.
 """
 
 import ast
+import math
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -20,6 +21,7 @@ from pfakit import (
     NEXT_WORD,
     BuchiAutomaton,
     BudgetExceeded,
+    DomainError,
     Distribution,
     FamilyTemplate,
     LassoWord,
@@ -44,6 +46,8 @@ from pfakit import (
     trace_word,
     value_lower_bound,
 )
+from pfakit.core import MAX_MC_STEPS
+from pfakit.errors import UnknownLetter
 
 
 def test_oracles_import_nothing_from_pfakit():
@@ -200,6 +204,86 @@ def test_monte_carlo_estimates_are_pinned(sim_source, kind, seed, estimate):
         pa = instantiate_simulation(sim, F(1, 3), F(1, 2))
         word, samples = (hat(["a", "#", "#"], sim.state_order) + [NEXT_WORD]) * 3, 400
     assert monte_carlo_accept(pa, word, samples, seed) == estimate
+
+
+def reference_monte_carlo(pa, word, samples, seed):
+    """The letter-by-letter sampler, on ``pa.delta``'s Fractions: every sample
+    reads every letter, and at a row with several targets draws below the lcm
+    of the row's denominators and walks its cumulative numerators."""
+    randrange = random.Random(seed).randrange
+    hits = 0
+    for _ in range(samples):
+        state = pa.initial
+        for a in word:
+            items = pa.delta[(state, a)].items()
+            if len(items) == 1:
+                state = items[0][0]
+                continue
+            den = math.lcm(*(p.denominator for _, p in items))
+            r, cum = randrange(den), 0
+            for state, p in items:
+                cum += p.numerator * (den // p.denominator)
+                if r < cum:
+                    break
+        hits += state in pa.final
+    return hits / samples
+
+
+def split_rows(pa, letter):
+    return sum(len(pa.delta[(s, letter)]) > 1 for s in pa.states)
+
+
+@given(automata(), st.randoms(use_true_random=False), st.integers(0, 10),
+       st.sampled_from((1, 9, 80)), st.integers(0, 2**32))
+@settings(max_examples=80, deadline=None)
+def test_monte_carlo_matches_the_letter_by_letter_sampler(pa, rng, length, samples, seed):
+    dense = max(pa.alphabet, key=lambda a: split_rows(pa, a))
+    assume(split_rows(pa, dense) >= 2)
+    # A random word, and one that meets split rows on consecutive letters.
+    for word in ([rng.choice(pa.alphabet) for _ in range(length)], [dense] * length):
+        got = monte_carlo_accept(pa, word, samples, seed)
+        assert got == reference_monte_carlo(pa, word, samples, seed)
+
+
+@pytest.mark.parametrize("samples", [1, 37, 300])
+@pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
+def test_monte_carlo_on_simulation_instances_matches_the_reference(sim_source, samples, seed):
+    _a, sim = sim_source
+    for lam, theta in ((F(1, 3), F(1, 2)), (F(2, 3), F(1, 4))):
+        pa = instantiate_simulation(sim, lam, theta)
+        for u, ell in ((["a", "#", "#"], 2), ([], 3), (["#", "a"], 1)):
+            word = (hat(u, sim.state_order) + [NEXT_WORD]) * ell
+            got = monte_carlo_accept(pa, word, samples, seed)
+            assert got == reference_monte_carlo(pa, word, samples, seed)
+
+
+def test_monte_carlo_errors():
+    pa = seesaw_pa(F(3, 4), F(1, 4))
+    # The sample count and the step bound are checked before the automaton
+    # is compiled.
+    with pytest.raises(DomainError) as exc:
+        monte_carlo_accept(pa, ["i", "f"], 0, 0)
+    assert str(exc.value) == "samples must be >= 1, got 0"
+    for word in (["i", "f"], []):
+        too_many = MAX_MC_STEPS // max(1, len(word)) + 1
+        with pytest.raises(DomainError) as exc:
+            monte_carlo_accept(pa, word, too_many, 0)
+        assert str(exc.value) == (
+            f"{too_many} samples of a {len(word)}-letter word is more than {MAX_MC_STEPS} steps")
+    assert "_kernel" not in pa.__dict__
+    with pytest.raises(UnknownLetter) as exc:
+        monte_carlo_accept(pa, ["i", "z", "f"], 10, 0)
+    assert str(exc.value) == "letter 'z' not in alphabet ['i', 'a', 'f']"
+
+
+def test_draw_tables_are_built_only_for_sampling():
+    pa = seesaw_pa(F(3, 4), F(1, 4))
+    accept_prob(pa, ["i", "a", "f"])
+    assert pa._kernel.draws is None
+    monte_carlo_accept(pa, ["i", "f"], 5, 0)
+    draws = pa._kernel.draws
+    monte_carlo_accept(pa, ["i", "a", "f"], 5, 1)
+    assert pa._kernel.draws is draws
 
 
 def reference_search(pa, length, beam):
