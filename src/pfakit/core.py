@@ -33,15 +33,14 @@ denominator. Such a matrix (or a power of it) can stand in for its word as a
 single step of :func:`word_matrix` and :func:`accept_steps`, which is how long
 parametric words are evaluated without reading every letter.
 
-A :class:`NumberlessAutomaton` keeps its support in the same integer form, a
-:class:`TargetTable`: per letter, a list over source states holding the index
-of the first target in state order, plus a small dict of the pairs with
-several targets. :func:`~pfakit.constructions.build_simulation` writes these
-rows directly; a per-pair table or a set of triples is compiled into them once,
-when the automaton is constructed. A :class:`Skeleton` shares a support
-automaton's rows and leaves its multi-target pairs open; automata instantiated
-on it share the rows too and carry only their open distributions, and their
-``delta`` is a read-only view.
+Every automaton keeps its transitions in one integer form: per letter, a list
+over source states holding the index of the first target in state order. A
+:class:`NumberlessAutomaton` adds the targets of its pairs with several (its
+:class:`TargetTable`), a :class:`ProbAutomaton` their distributions, and its
+``delta`` is a read-only view of both. Per-pair tables and triple sets are
+compiled into rows once, at construction; :func:`instantiate` and
+:class:`Skeleton` instances share a support automaton's rows, and
+:func:`~pfakit.constructions.build_simulation` writes its rows directly.
 """
 
 from __future__ import annotations
@@ -51,8 +50,9 @@ import random
 from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, product
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 from .errors import (
     DomainError,
@@ -190,8 +190,9 @@ class ProbAutomaton:
 
     ``delta`` maps every (state, letter) pair to a Distribution; ``final`` is
     the accepting set. Instances are treated as immutable after construction.
-    A ``delta`` made by :meth:`Skeleton.instantiate` was validated there and
-    is kept as the shared view it is.
+    ``delta`` is always a read-only view of integer rows plus the
+    distributions of the split pairs (see :class:`Skeleton`): a caller's table
+    is compiled into one, and a view, validated where it was made, is kept.
     """
 
     states: tuple[str, ...]
@@ -213,13 +214,11 @@ class ProbAutomaton:
         bad_final = self.final - state_set
         if bad_final:
             raise ValidationError(f"final states {sorted(bad_final)} not among states")
-        if isinstance(self.delta, _SkeletonDelta):
-            skel = self.delta.skeleton
-            if (self.states, self.alphabet) != (skel.states, skel.alphabet):
-                raise ValidationError("delta is a skeleton view over other states or letters")
-        else:
-            object.__setattr__(self, "delta", dict(self.delta))
-            _check_delta(self.states, self.alphabet, state_set, self.delta)
+        delta = self.delta
+        if not isinstance(delta, _SkeletonDelta):
+            object.__setattr__(self, "delta", _compile_delta(self, state_set, dict(delta)))
+        elif (self.states, self.alphabet) != (delta.skeleton.states, delta.skeleton.alphabet):
+            raise ValidationError("delta is a skeleton view over other states or letters")
         object.__setattr__(self, "_state_set", state_set)
         object.__setattr__(self, "_letter_set", letter_set)
 
@@ -230,16 +229,28 @@ class ProbAutomaton:
         return self._letter_set  # type: ignore[attr-defined]
 
 
-def _check_delta(states, alphabet, state_set, delta) -> None:
-    # Checked in bulk, once per distinct Distribution object (tables share
-    # their Diracs); the walk only runs to name the first offender.
-    values = list(delta.values())
-    distinct = dict(zip(map(id, values), values)).values()
-    if (len(delta) == len(states) * len(alphabet)
-            and all(map(delta.__contains__, product(states, alphabet)))
-            and all(isinstance(d, Distribution) for d in distinct)
-            and state_set.issuperset(chain.from_iterable(distinct))):
-        return
+def _compile_delta(pa: ProbAutomaton, state_set, delta: dict) -> _SkeletonDelta:
+    """The rows view of a caller's per-pair table. Each distinct Distribution
+    object is checked once (tables share their Diracs); the table is walked
+    only when that check fails, to name the first offender."""
+    dists = list(map(delta.get, product(pa.states, pa.alphabet)))
+    ids = list(map(id, dists))
+    distinct = dict(zip(ids, dists))
+    if len(delta) != len(dists) or not all(
+            isinstance(d, Distribution) and state_set.issuperset(d._entries) for d in distinct.values()):
+        _check_delta(pa.states, pa.alphabet, state_set, delta)
+    index = {s: i for i, s in enumerate(pa.states)}
+    first = {key: min(map(index.__getitem__, d._entries)) for key, d in distinct.items()}
+    firsts = list(map(first.__getitem__, ids))
+    rows = {a: firsts[j::len(pa.alphabet)] for j, a in enumerate(pa.alphabet)}
+    spec = {pair: d for pair, d in zip(product(pa.states, pa.alphabet), dists) if len(d._entries) > 1}
+    open_pairs = {pair: spec[pair].support() for pair in sorted(spec)}
+    return _SkeletonDelta(Skeleton.__new__(Skeleton)._share(pa, index, rows, open_pairs), spec)
+
+
+def _check_delta(states, alphabet, state_set, delta) -> NoReturn:
+    """Raise ValidationError naming the first offending pair in states x
+    alphabet order, or else the pairs outside them."""
     for s in states:
         for a in alphabet:
             d = delta.get((s, a))
@@ -487,24 +498,32 @@ class Skeleton:
     ``(states[i], letter)``: the support automaton's own rows, shared, not
     copied. Every pair outside ``open`` must have one target; the ``open``
     pairs may have several, and :meth:`instantiate` gives them distributions.
-    Every automaton built that way shares these rows: it holds only its open
+    Every automaton built that way shares these rows: it holds only its split
     distributions, and its ``delta`` is a read-only view that answers the
-    other pairs with Diracs.
+    other pairs with Diracs. Every ``ProbAutomaton.delta`` is such a view.
     """
 
-    __slots__ = ("states", "alphabet", "initial", "final", "open", "index", "rows", "diracs")
-
     def __init__(self, npa: NumberlessAutomaton, open_pairs: Iterable[tuple[str, str]]):
-        self.states, self.alphabet = npa.states, npa.alphabet
-        self.initial, self.final = npa.initial, npa.final
-        self.open = {(s, a): frozenset(npa.targets(s, a)) for s, a in sorted(open_pairs)}
+        targets = {(s, a): frozenset(npa.targets(s, a)) for s, a in sorted(open_pairs)}
         table = npa.support.table  # type: ignore[attr-defined]
-        if not self.open.keys() >= table.multi.keys():
+        if not targets.keys() >= table.multi.keys():
             s, a = next(pair for pair in product(npa.states, npa.alphabet)
-                        if pair in table.multi and pair not in self.open)
+                        if pair in table.multi and pair not in targets)
             raise ValidationError(f"unexpected probabilistic pair ({s!r}, {a!r})")
-        self.index, self.rows = table.index, table.rows
-        self.diracs = [Distribution._exact(((s, ONE),)) for s in npa.states]
+        self._share(npa, table.index, table.rows, targets)
+
+    def _share(self, automaton, index, rows, open_pairs) -> Skeleton:
+        """Take ``automaton``'s ids and its checked ``rows``, shared, with
+        ``open_pairs`` mapping each open pair to its targets."""
+        self.states, self.alphabet = automaton.states, automaton.alphabet
+        self.initial, self.final = automaton.initial, automaton.final
+        self.open, self.index, self.rows = open_pairs, index, rows
+        return self
+
+    @cached_property
+    def diracs(self) -> list[Distribution]:
+        """Each state's Dirac, built on first use: evaluation never reads them."""
+        return [Distribution._exact(((s, ONE),)) for s in self.states]
 
     def instantiate(self, spec: Mapping[tuple[str, str], Distribution]) -> ProbAutomaton:
         """The automaton whose open pairs carry ``spec``'s distributions.
@@ -515,18 +534,14 @@ class Skeleton:
         for s, a in sorted(set(spec) - set(self.open)):
             raise InconsistentSupport(f"distribution given for unknown pair ({s!r}, {a!r})")
         for (s, a), wanted in self.open.items():
-            dist = spec.get((s, a))
-            if dist is None:
-                raise InconsistentSupport(f"missing: no distribution for ({s!r}, {a!r})")
-            if not isinstance(dist, Distribution):
-                raise ValidationError(f"delta[({s!r}, {a!r})] is not a Distribution")
-            _check_support(s, a, wanted, dist)
-        view = _SkeletonDelta(self, dict(spec))
+            _check_support(s, a, wanted, spec.get((s, a)))
+        view = _SkeletonDelta(self, {pair: d for pair, d in spec.items() if len(d) > 1})
         return ProbAutomaton(self.states, self.alphabet, self.initial, view, self.final)
 
 
 class _SkeletonDelta(Mapping):
-    """The transition table of an automaton built on a :class:`Skeleton`."""
+    """Every ``ProbAutomaton.delta``: Skeleton rows, plus ``spec``, the
+    distributions of exactly the pairs with several targets."""
 
     __slots__ = ("skeleton", "spec")
 
@@ -545,24 +560,17 @@ class _SkeletonDelta(Mapping):
             raise KeyError(key) from None
 
     def __iter__(self):
-        skel = self.skeleton
-        return ((s, a) for s in skel.states for a in skel.alphabet)
+        return product(self.skeleton.states, self.skeleton.alphabet)
 
     def __len__(self) -> int:
         return len(self.skeleton.states) * len(self.skeleton.alphabet)
 
 
 def ordered_delta(pa: ProbAutomaton) -> list[Distribution]:
-    """The distributions of ``pa.delta`` in states x alphabet order.
-
-    A :class:`Skeleton` view is read from its integer rows and open pairs,
-    without a lookup per pair.
-    """
-    delta = pa.delta
-    if not isinstance(delta, _SkeletonDelta):
-        return list(map(delta.__getitem__, product(pa.states, pa.alphabet)))
-    skel = delta.skeleton
-    return _pair_order(skel.index, pa.alphabet, skel.rows, skel.diracs, delta.spec)
+    """The distributions of ``pa.delta`` in states x alphabet order, read from
+    its integer rows and split pairs without a lookup per pair."""
+    skel = pa.delta.skeleton
+    return _pair_order(skel.index, pa.alphabet, skel.rows, skel.diracs, pa.delta.spec)
 
 
 # --- the compiled integer kernel -------------------------------------------------
@@ -581,32 +589,16 @@ class _Kernel:
     __slots__ = ("states", "alphabet", "index", "rows", "draws", "final")
 
     def __init__(self, pa: ProbAutomaton):
-        delta = pa.delta
+        skel = pa.delta.skeleton
         self.states, self.alphabet = pa.states, pa.alphabet
-        if isinstance(delta, _SkeletonDelta):
-            index = delta.skeleton.index
-            base = delta.skeleton.rows
-            split: dict[str, list[tuple[int, Distribution]]] = {}
-            for (s, a), d in delta.spec.items():
-                split.setdefault(a, []).append((index[s], d))
-        else:
-            index = {s: i for i, s in enumerate(pa.states)}
-            base, split = {}, {}
-            for a in pa.alphabet:
-                row = []
-                for i, s in enumerate(pa.states):
-                    d = delta[(s, a)]
-                    if len(d) == 1:
-                        row.append(index[next(iter(d))])
-                    else:
-                        row.append(i)  # replaced below
-                        split.setdefault(a, []).append((i, d))
-                base[a] = row
-        self.index = index
+        self.index = index = skel.index
+        split: dict[str, list[tuple[int, Distribution]]] = {}
+        for (s, a), d in pa.delta.spec.items():
+            split.setdefault(a, []).append((index[s], d))
         self.rows: dict[str, tuple[int, list, frozenset[int]]] = {}
         self.draws: dict[str, list] | None = None
         for a in pa.alphabet:
-            self._compile_letter(a, base[a], split.get(a, ()))
+            self._compile_letter(a, skel.rows[a], split.get(a, ()))
         self.final = frozenset(index[s] for s in pa.final)
 
     def _compile_letter(self, a: str, base: list[int], split) -> None:
@@ -784,13 +776,13 @@ def _is_simple_row(dist: Distribution) -> bool:
 
 
 def is_simple(pa: ProbAutomaton) -> bool:
-    """True iff every transition probability lies in {0, 1/2, 1}."""
-    return all(_is_simple_row(dist) for dist in pa.delta.values())
+    """True iff every transition probability lies in {0, 1/2, 1} (Diracs do)."""
+    return all(map(_is_simple_row, pa.delta.spec.values()))
 
 
 def require_simple(pa: ProbAutomaton) -> ProbAutomaton:
-    """Return ``pa`` unchanged, or raise NotSimple naming an offending pair."""
-    for (s, a), dist in sorted(pa.delta.items()):
+    """Return ``pa`` unchanged, or raise NotSimple naming the first offending pair."""
+    for (s, a), dist in sorted(pa.delta.spec.items()):
         if not _is_simple_row(dist):
             probs = sorted(p for _, p in dist.items())
             raise NotSimple(f"({s!r}, {a!r}) has probabilities {probs}, not in {{1/2, 1}}")
@@ -798,12 +790,20 @@ def require_simple(pa: ProbAutomaton) -> ProbAutomaton:
 
 
 def support_abstraction(pa: ProbAutomaton) -> NumberlessAutomaton:
-    """Erase the numbers: keep exactly the positive-probability triples."""
-    targets = {pair: tuple(dist) for pair, dist in pa.delta.items()}
-    return NumberlessAutomaton.from_targets(pa.states, pa.alphabet, pa.initial, targets, pa.final)
+    """Erase the numbers: the support automaton on ``pa``'s own rows, whose
+    multi-target pairs are ``pa``'s split pairs."""
+    skel, spec = pa.delta.skeleton, pa.delta.spec
+    multi = {pair: tuple(sorted(d, key=skel.index.__getitem__)) for pair, d in spec.items()}
+    table = TargetTable(pa.states, pa.alphabet, skel.rows, multi, int_rows=True)
+    return NumberlessAutomaton.from_targets(pa.states, pa.alphabet, pa.initial, table, pa.final)
 
 
-def _check_support(s: str, a: str, wanted: frozenset[str], dist: Distribution) -> None:
+def _check_support(s: str, a: str, wanted: frozenset[str], dist) -> None:
+    """Raise unless ``dist`` is a Distribution with positive mass on exactly ``wanted``."""
+    if dist is None:
+        raise InconsistentSupport(f"missing: no distribution for ({s!r}, {a!r})")
+    if not isinstance(dist, Distribution):
+        raise ValidationError(f"delta[({s!r}, {a!r})] is not a Distribution")
     got = dist.support()
     for t in sorted(wanted - got):
         raise InconsistentSupport(
@@ -822,18 +822,17 @@ def instantiate(
 
     Succeeds iff ``delta_spec`` puts positive mass on exactly the support
     triples; the first violation is reported with its direction (missing mass
-    on a support triple vs. extra mass outside the support).
+    on a support triple vs. extra mass outside the support). The result
+    shares ``npa``'s rows.
     """
     table = npa.support.table  # type: ignore[attr-defined]
     for s, a in sorted(pair for pair in delta_spec if pair not in table):
         raise InconsistentSupport(f"distribution given for unknown pair ({s!r}, {a!r})")
     for s in npa.states:
         for a in npa.alphabet:
-            dist = delta_spec.get((s, a))
-            if dist is None:
-                raise InconsistentSupport(f"missing: no distribution for ({s!r}, {a!r})")
-            _check_support(s, a, frozenset(npa.targets(s, a)), dist)
-    return ProbAutomaton(npa.states, npa.alphabet, npa.initial, delta_spec, npa.final)
+            _check_support(s, a, frozenset(npa.targets(s, a)), delta_spec.get((s, a)))
+    view = _SkeletonDelta(Skeleton(npa, table.multi), {p: delta_spec[p] for p in table.multi})
+    return ProbAutomaton(npa.states, npa.alphabet, npa.initial, view, npa.final)
 
 
 def _draws(k: _Kernel) -> dict[str, list]:

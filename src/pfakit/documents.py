@@ -14,8 +14,7 @@ order), "to" keys in state order, final states in state order, trailing
 newline: what ``json.dumps(..., indent=2)`` prints. One writer fills a fixed
 template per transition record, escaping strings with json's own
 ``encode_basestring_ascii`` and rendering each distinct "to" value once;
-serialize_automaton writes straight from the automaton's table (the integer
-rows of an npa or of a skeleton view).
+serialize_automaton writes straight from the automaton's integer rows.
 serialize_document(parse_document(text)) == text for canonical text;
 expression strings are preserved verbatim, and loading evaluates each
 distinct one once.

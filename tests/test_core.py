@@ -393,8 +393,111 @@ class TestDeltaMessages:
             "delta[('q', 'b')] targets unknown states ['z']")
 
 
+def _compiled_table(monkeypatch, build):
+    """``build()``'s result and the per-pair table its last ProbAutomaton compiled."""
+    from pfakit import core
+
+    seen, compile_delta = [], core._compile_delta
+
+    def spy(pa, state_set, delta):
+        seen.append(dict(delta))
+        return compile_delta(pa, state_set, delta)
+
+    monkeypatch.setattr(core, "_compile_delta", spy)
+    built = build()
+    monkeypatch.undo()
+    return built, seen[-1]
+
+
+def _document(obj, bindings=None):
+    from pfakit import document_to_automaton, parse_document, serialize_automaton
+
+    return document_to_automaton(parse_document(serialize_automaton(obj)), bindings)
+
+
+def _built(how, monkeypatch):
+    """An automaton built one way, and the per-pair table its caller meant."""
+    from importlib import resources
+
+    from pfakit import (
+        buchi_reduction, document_to_automaton, fair_coin, fairness_dfa, seesaw_delta, seesaw_npa,
+    )
+    from pfakit.documents import bound_transitions, parse_document
+
+    def caught(build):
+        return _compiled_table(monkeypatch, build)
+
+    if how == "dict":
+        return caught(lambda: ProbAutomaton(("p", "q"), ("a", "b"), "q", {
+            ("q", "b"): Distribution({"q": F(1, 3), "p": F(2, 3)}), ("p", "b"): dirac("q"),
+            ("q", "a"): dirac("q"), ("p", "a"): Distribution({"q": HALF, "p": HALF})}, {"p"}))
+    if how == "complete_with_sink":
+        return caught(lambda: complete_with_sink(
+            ["q", "r"], ["a", "b"], "q", {("r", "b"): dirac("q"),
+                                          ("q", "a"): Distribution({"q": HALF, "r": HALF})}, ["r"]))
+    if how == "instantiate":
+        spec = seesaw_delta(F(3, 4), F(1, 4))
+        return instantiate(seesaw_npa(), spec), spec
+    if how == "Skeleton.instantiate":
+        npa = seesaw_npa()
+        spec = {pair: d for pair, d in seesaw_delta(F(2, 5), F(1, 3)).items() if len(d) > 1}
+        spec[("C1", "a")] = dirac("C1")  # an open pair with one target
+        table = {(s, c): spec.get((s, c)) or dirac(npa.targets(s, c)[0])
+                 for s in npa.states for c in npa.alphabet}
+        return Skeleton(npa, spec).instantiate(spec), table
+    if how == "pa document":
+        return caught(lambda: _document(random_simple_pa(5, 4, 2)))
+    if how == "pba document":
+        ba, table = caught(lambda: _document(buchi_reduction(random_simple_pa(6, 3, 2))))
+        return ba.automaton, table
+    if how == "npa document":  # the bundled seesaw, with its parameters bound
+        text = (resources.files("pfakit") / "data" / "seesaw.json").read_text(encoding="utf-8")
+        doc, bindings = parse_document(text), {"x": F(5, 8), "y": F(1, 8)}
+        return document_to_automaton(doc, bindings), bound_transitions(doc, bindings)
+    if how == "fair_coin":
+        a = random_simple_pa(7, 3, 2)
+        out, table = caught(lambda: fair_coin(a, F(1, 3)))
+        return out.automaton, table
+    if how == "buchi_reduction":
+        a = random_simple_pa(8, 3, 3)
+        ba, table = caught(lambda: buchi_reduction(a))
+        return ba.automaton, table
+    if how == "fairness_dfa":
+        return caught(lambda: fairness_dfa(("a", "b"), ("q0", "q1")))
+    assert how == "random_simple_pa"
+    return caught(lambda: random_simple_pa(9, 4, 3))
+
+
 class TestOrderedDelta:
-    """``ordered_delta`` against a lookup per pair, for dict tables and skeleton views."""
+    """``ordered_delta`` against a lookup per pair, for every way to build an automaton:
+    each gives the one ``delta`` form, the rows view."""
+
+    @pytest.mark.parametrize("how", [
+        "dict", "complete_with_sink", "instantiate", "Skeleton.instantiate", "pa document",
+        "pba document", "npa document", "fair_coin", "buchi_reduction", "fairness_dfa",
+        "random_simple_pa",
+    ])
+    def test_every_constructor_gives_one_form(self, how, monkeypatch):
+        from itertools import product
+
+        from pfakit.core import _kernel, _SkeletonDelta, ordered_delta
+
+        pa, table = _built(how, monkeypatch)
+        pairs = list(product(pa.states, pa.alphabet))
+        assert type(pa.delta) is _SkeletonDelta
+        assert ordered_delta(pa) == [table[pair] for pair in pairs]
+        assert pa == ProbAutomaton(pa.states, pa.alphabet, pa.initial, dict(pa.delta), pa.final)
+        # the twin: a support automaton compiled from triples, instantiated on a Skeleton
+        npa = NumberlessAutomaton(pa.states, pa.alphabet, pa.initial,
+                                  {(s, c, t) for (s, c), d in table.items() for t in d}, pa.final)
+        split = {pair: d for pair, d in table.items() if len(d) > 1}
+        twin = Skeleton(npa, split).instantiate(split)
+        assert _kernel(pa).rows == _kernel(twin).rows
+        assert pa.delta.spec == split and list(pa.delta) == pairs
+        skel = pa.delta.skeleton  # its open pairs take their own distributions back
+        assert skel.instantiate({pair: pa.delta[pair] for pair in skel.open}) == pa
+        assert support_abstraction(pa) == npa
+        assert support_abstraction(pa).support.table.rows is pa.delta.skeleton.rows
 
     @pytest.mark.parametrize("shape", [(2, 1), (2, 2), (3, 2)])
     def test_matches_a_lookup_per_pair(self, shape):
@@ -496,12 +599,47 @@ class TestSimple:
         with pytest.raises(NotSimple):
             require_simple(seesaw_fast)
 
+    def test_require_simple_names_the_first_pair_in_sorted_order(self):
+        # two offenders, inserted in the reverse of sorted order, around simple pairs
+        delta = {
+            ("q", "a"): Distribution({"p": F(1, 4), "q": F(3, 4)}),
+            ("q", "b"): Distribution({"p": HALF, "q": HALF}),
+            ("p", "a"): dirac("q"),
+            ("p", "b"): Distribution({"p": F(2, 3), "q": F(1, 3)}),
+        }
+        pa = ProbAutomaton(("q", "p"), ("b", "a"), "q", delta, frozenset())
+        assert not is_simple(pa)
+        with pytest.raises(NotSimple) as exc:
+            require_simple(pa)
+        assert str(exc.value) == (
+            "('p', 'b') has probabilities [Fraction(1, 3), Fraction(2, 3)], not in {1/2, 1}")
+
 
 class TestSupportRoundTrip:
     def test_abstraction_round_trip(self, seesaw_fast):
         npa = support_abstraction(seesaw_fast)
         back = instantiate(npa, dict(seesaw_fast.delta))
         assert back == seesaw_fast
+
+    def test_instantiate_shares_the_support_rows(self, seesaw_support):
+        from pfakit import build_simulation, instantiate_simulation, seesaw_delta
+
+        pa = instantiate(seesaw_support, seesaw_delta(F(3, 4), F(1, 4)))
+        assert pa.delta.skeleton.rows is seesaw_support.support.table.rows
+        assert pa.delta.spec.keys() == seesaw_support.support.table.multi.keys()
+        sim = build_simulation(random_simple_pa(0, 2, 1))
+        c = instantiate(sim.npa, dict(instantiate_simulation(sim, F(1, 3), F(1, 2)).delta))
+        assert c.delta.skeleton.rows is sim.npa.support.table.rows
+        assert list(c.delta.spec) == [(sim.coin, "$")]
+
+    def test_instantiate_refuses_a_non_distribution(self, seesaw_support):
+        from pfakit import seesaw_delta
+
+        spec = seesaw_delta(HALF, HALF)
+        spec[("C1", "a")] = {"C1": 1}
+        with pytest.raises(ValidationError) as exc:
+            instantiate(seesaw_support, spec)
+        assert str(exc.value) == "delta[('C1', 'a')] is not a Distribution"
 
     def test_instantiate_missing_mass(self, seesaw_support):
         from pfakit import seesaw_pa
