@@ -815,6 +815,25 @@ def _check_support(s: str, a: str, wanted: frozenset[str], dist) -> None:
         )
 
 
+def _spec_fits(table: TargetTable, dists: list, delta_spec: Mapping) -> bool:
+    """True iff ``dists``, the distributions of ``table``'s pairs in states x
+    alphabet order, put positive mass on exactly each pair's targets. Each
+    distinct Distribution object is read once: a Dirac must sit where its
+    target is the row's entry, and any other on a multi-target pair."""
+    ids = list(map(id, dists))
+    distinct = dict(zip(ids, dists))
+    if not all(isinstance(d, Distribution) for d in distinct.values()):
+        return False
+    # Each object's one target, or None for several; likewise each pair's.
+    at = {key: next(iter(d._entries)) if len(d._entries) == 1 else None
+          for key, d in distinct.items()}
+    wanted = _pair_order(table.index, table.alphabet, table.rows, table.states,
+                         dict.fromkeys(table.multi))
+    return (list(map(at.__getitem__, ids)) == wanted
+            and all(delta_spec[pair]._entries.keys() == set(hits)
+                    for pair, hits in table.multi.items()))
+
+
 def instantiate(
     npa: NumberlessAutomaton, delta_spec: Mapping[tuple[str, str], Distribution]
 ) -> ProbAutomaton:
@@ -822,15 +841,19 @@ def instantiate(
 
     Succeeds iff ``delta_spec`` puts positive mass on exactly the support
     triples; the first violation is reported with its direction (missing mass
-    on a support triple vs. extra mass outside the support). The result
-    shares ``npa``'s rows.
+    on a support triple vs. extra mass outside the support). Each distinct
+    Distribution object is checked once against the rows; the pairs are
+    walked only when that check fails, to name the first violation. The
+    result shares ``npa``'s rows.
     """
     table = npa.support.table  # type: ignore[attr-defined]
-    for s, a in sorted(pair for pair in delta_spec if pair not in table):
-        raise InconsistentSupport(f"distribution given for unknown pair ({s!r}, {a!r})")
-    for s in npa.states:
-        for a in npa.alphabet:
-            _check_support(s, a, frozenset(npa.targets(s, a)), delta_spec.get((s, a)))
+    dists = list(map(delta_spec.get, product(npa.states, npa.alphabet)))
+    if len(delta_spec) != len(dists) or not _spec_fits(table, dists, delta_spec):
+        for s, a in sorted(pair for pair in delta_spec if pair not in table):
+            raise InconsistentSupport(f"distribution given for unknown pair ({s!r}, {a!r})")
+        for s in npa.states:
+            for a in npa.alphabet:
+                _check_support(s, a, frozenset(npa.targets(s, a)), delta_spec.get((s, a)))
     view = _SkeletonDelta(Skeleton(npa, table.multi), {p: delta_spec[p] for p in table.multi})
     return ProbAutomaton(npa.states, npa.alphabet, npa.initial, view, npa.final)
 

@@ -11,10 +11,14 @@ targets.
 
 Canonical form: two-space indent, transitions sorted by (state order, letter
 order), "to" keys in state order, final states in state order, trailing
-newline: what ``json.dumps(..., indent=2)`` prints. One writer fills a fixed
-template per transition record, escaping strings with json's own
-``encode_basestring_ascii`` and rendering each distinct "to" value once;
-serialize_automaton writes straight from the automaton's integer rows.
+newline: what ``json.dumps(..., indent=2)`` prints. One writer appends every
+piece of a document to one list (the header fields, each record's "from",
+"letter" and "to" text with its separator, the closing brackets) and builds
+the text with a single join, escaping strings with json's own
+``encode_basestring_ascii``. serialize_document renders each distinct "to"
+value once; serialize_automaton reads the automaton's integer rows, renders
+one "to" text per target state and one per split pair, and takes each
+letter's column of texts straight from its row.
 serialize_document(parse_document(text)) == text for canonical text;
 expression strings are preserved verbatim, and loading evaluates each
 distinct one once.
@@ -39,9 +43,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 from typing import Union
 
-from .core import (
-    MAX_EXPONENT, Distribution, NumberlessAutomaton, ProbAutomaton, instantiate, ordered_delta,
-)
+from .core import MAX_EXPONENT, Distribution, NumberlessAutomaton, ProbAutomaton, instantiate
 from .constructions import BuchiAutomaton
 from .errors import ParseError, ValidationError
 
@@ -387,8 +389,17 @@ def automaton_to_document(obj: Automaton, name: str | None = None) -> AutomatonD
 
 # The indentation json.dumps(indent=2) gives the items of a "to" value.
 _TO_PAD = " " * 6
-_RECORD = '{\n      "from": %s,\n      "letter": %s,\n      "to": %s\n    }'
 _quote = json.encoder.encode_basestring_ascii  # the escaper json.dumps uses
+# A transition record is written as three pieces: _FROM and its source, the
+# letter's piece, then its "to" value and _NEXT, which closes the record and
+# opens the next; the last record's _NEXT becomes _LAST.
+_FROM = '{\n      "from": '
+_NEXT = "\n    },\n    "
+_LAST = "\n    }\n  ]"
+
+
+def _letter_piece(letter: str) -> str:
+    return ',\n      "letter": ' + _quote(letter) + ',\n      "to": '
 
 
 def _block(brackets: str, items: list[str], pad: str) -> str:
@@ -408,21 +419,29 @@ def _to_value(to, rank) -> str:
     return _block("{}", items, _TO_PAD)
 
 
-def _render(kind, name, params, states, alphabet, initial, final, records) -> str:
-    """The canonical document; ``records`` are the transitions, rendered and in order."""
-    fields = ['"kind": ' + _quote(kind)]
+def _write(kind, name, params, states, alphabet, initial, final, records) -> str:
+    """The canonical document, built by one join of its pieces. ``records``
+    yields the transitions' pieces in order, three per record (see _FROM)."""
+    pieces = ['{\n  "kind": ' + _quote(kind)]
     if name is not None:
-        fields.append('"name": ' + _quote(name))
+        pieces.append(',\n  "name": ' + _quote(name))
     if params:
-        fields.append('"params": ' + _block("[]", [_quote(p) for p in params], "  "))
-    fields += [
-        '"states": ' + _block("[]", [_quote(s) for s in states], "  "),
-        '"alphabet": ' + _block("[]", [_quote(c) for c in alphabet], "  "),
-        '"initial": ' + _quote(initial),
-        '"final": ' + _block("[]", [_quote(s) for s in final], "  "),
-        '"transitions": ' + _block("[]", records, "  "),
-    ]
-    return "{\n  " + ",\n  ".join(fields) + "\n}\n"
+        pieces.append(',\n  "params": ' + _block("[]", [_quote(p) for p in params], "  "))
+    pieces += (
+        ',\n  "states": ' + _block("[]", [_quote(s) for s in states], "  "),
+        ',\n  "alphabet": ' + _block("[]", [_quote(c) for c in alphabet], "  "),
+        ',\n  "initial": ' + _quote(initial),
+        ',\n  "final": ' + _block("[]", [_quote(s) for s in final], "  "),
+        ',\n  "transitions": [\n    ',
+    )
+    opened = len(pieces)
+    pieces += records
+    if len(pieces) == opened:
+        pieces[-1] = ',\n  "transitions": []'
+    else:
+        pieces[-1] = pieces[-1][:-len(_NEXT)] + _LAST
+    pieces.append("\n}\n")
+    return "".join(pieces)
 
 
 def serialize_document(doc: AutomatonDocument) -> str:
@@ -441,7 +460,8 @@ def serialize_document(doc: AutomatonDocument) -> str:
     def rank(t: str) -> int:  # targets not among the states sort last
         return order.get(t, len(order))
 
-    quoted = {x: _quote(x) for x in doc.states + doc.alphabet}
+    sources = {s: _FROM + _quote(s) for s in doc.states}
+    letters = {c: _letter_piece(c) for c in doc.alphabet}
     # One rendering per distinct "to"; maps and lists are cached apart, since
     # an empty map's items equal an empty list.
     maps: dict[tuple, str] = {}
@@ -452,38 +472,38 @@ def serialize_document(doc: AutomatonDocument) -> str:
         cache, key = (lists, to) if isinstance(to, tuple) else (maps, tuple(to.items()))
         text = cache.get(key)
         if text is None:
-            text = cache[key] = _to_value(to, rank)
-        records.append(_RECORD % (quoted[rec.source], quoted[rec.letter], text))
-    return _render(doc.kind, doc.name, doc.params, doc.states, doc.alphabet,
-                   doc.initial, sorted(doc.final, key=rank), records)
+            text = cache[key] = _to_value(to, rank) + _NEXT
+        records += (sources[rec.source], letters[rec.letter], text)
+    return _write(doc.kind, doc.name, doc.params, doc.states, doc.alphabet,
+                  doc.initial, sorted(doc.final, key=rank), records)
 
 
 def serialize_automaton(obj: Automaton, name: str | None = None) -> str:
-    """The canonical document of ``obj``, written straight from its table."""
+    """The canonical document of ``obj``, written straight from its integer
+    rows: one "to" text per target state, and one per split pair."""
     if isinstance(obj, NumberlessAutomaton):
         kind, pa, final = "npa", obj, obj.final
-        tos = obj.support.table.ordered()  # type: ignore[attr-defined]
+        table = obj.support.table  # type: ignore[attr-defined]
+        index, rows, split = table.index, table.rows, table.multi
     elif isinstance(obj, BuchiAutomaton):
         kind, pa, final = "pba", obj.automaton, obj.accepting
-        tos = ordered_delta(pa)
     elif isinstance(obj, ProbAutomaton):
         kind, pa, final = "pa", obj, obj.final
-        tos = ordered_delta(pa)
     else:
         raise ValidationError(f"cannot serialize object of type {type(obj).__name__}")
-    order = {s: i for i, s in enumerate(pa.states)}
-    letters = [_quote(c) for c in pa.alphabet]
-    k = len(letters)
-    # One rendering per target tuple or Distribution object: tables share one
-    # tuple or Dirac per target state, and keep each object (so its id) alive.
-    rendered: dict = {}
+    if kind != "npa":
+        skel = pa.delta.skeleton
+        index, rows, split = skel.index, skel.rows, pa.delta.spec
+    quoted = [_quote(s) for s in pa.states]
+    # Each target state's "to": a one-target list, or a Dirac.
+    head, tail = ("[", "\n      ]") if kind == "npa" else ("{", ': "1"\n      }')
+    texts = [head + "\n        " + q + tail + _NEXT for q in quoted]
+    columns = {a: list(map(texts.__getitem__, rows[a])) for a in pa.alphabet}
+    for (s, a), to in split.items():
+        columns[a][index[s]] = _to_value(to, index.__getitem__) + _NEXT
+    letters = [_letter_piece(c) for c in pa.alphabet]
     records = []
-    for i, s in enumerate(pa.states):
-        source = _quote(s)
-        for letter, to in zip(letters, tos[i * k:i * k + k]):
-            text = rendered.get(id(to))
-            if text is None:
-                text = rendered[id(to)] = _to_value(to, order.__getitem__)
-            records.append(_RECORD % (source, letter, text))
-    return _render(kind, name, (), pa.states, pa.alphabet, pa.initial,
-                   sorted(final, key=order.__getitem__), records)
+    for q, tos in zip(quoted, zip(*columns.values())):  # states x alphabet order
+        records += chain.from_iterable(zip(repeat(_FROM + q), letters, tos))
+    return _write(kind, name, (), pa.states, pa.alphabet, pa.initial,
+                  sorted(final, key=index.__getitem__), records)

@@ -57,5 +57,5 @@ def export_dot(obj: Union[ProbAutomaton, NumberlessAutomaton, BuchiAutomaton]) -
         for t in sorted(labels, key=order.__getitem__):
             label = "\\n".join(labels[t])
             lines.append(f'  {quoted[s]} -> {quoted[t]} [label="{label}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines.append("}\n")
+    return "\n".join(lines)

@@ -647,8 +647,9 @@ class TestSupportRoundTrip:
         pa = seesaw_pa(HALF, HALF)
         spec = dict(pa.delta)
         spec[("C1", "i")] = dirac("L1")  # support expects both L1 and R1
-        with pytest.raises(InconsistentSupport):
+        with pytest.raises(InconsistentSupport) as exc:
             instantiate(seesaw_support, spec)
+        assert str(exc.value) == "missing: ('C1', 'i', 'R1') is in the support but got zero mass"
 
     def test_instantiate_extra_mass(self, seesaw_support):
         from pfakit import seesaw_pa
@@ -656,8 +657,52 @@ class TestSupportRoundTrip:
         pa = seesaw_pa(HALF, HALF)
         spec = dict(pa.delta)
         spec[("C1", "f")] = Distribution({"C1": HALF, "L2": HALF})
-        with pytest.raises(InconsistentSupport):
+        with pytest.raises(InconsistentSupport) as exc:
             instantiate(seesaw_support, spec)
+        assert str(exc.value) == "extra: ('C1', 'f', 'L2') got mass 1/2 outside the support"
+
+    def test_instantiate_names_the_first_offender_in_pair_order(self, seesaw_support):
+        from pfakit import seesaw_pa
+
+        # two offenders, the later one in states x alphabet order inserted first
+        spec = {("R1", "a"): dirac("R1")}  # support expects both C2 and R1
+        spec.update((pair, d) for pair, d in seesaw_pa(HALF, HALF).delta.items()
+                    if pair not in spec and pair != ("C2", "f"))
+        spec[("C2", "f")] = Distribution({"C1": HALF, "L2": HALF})
+        assert list(spec)[0] == ("R1", "a") and list(spec)[-1] == ("C2", "f")
+        with pytest.raises(InconsistentSupport) as exc:
+            instantiate(seesaw_support, spec)
+        assert str(exc.value) == "extra: ('C2', 'f', 'L2') got mass 1/2 outside the support"
+
+    @pytest.mark.parametrize("change,error,message", [
+        ({("C2", "a"): None}, InconsistentSupport,
+         "missing: no distribution for ('C2', 'a')"),
+        ({("C2", "a"): None, ("C2", "z"): dirac("C2")}, InconsistentSupport,
+         "distribution given for unknown pair ('C2', 'z')"),
+        ({("C2", "z"): dirac("C2"), ("Z", "a"): dirac("C2")}, InconsistentSupport,
+         "distribution given for unknown pair ('C2', 'z')"),
+        ({("L2", "f"): dirac("Z")}, InconsistentSupport,
+         "missing: ('L2', 'f', 'L2') is in the support but got zero mass"),
+        ({("L1", "a"): Distribution({"C2": HALF, "L1": HALF, "Z": 0})}, None, None),
+        ({("L1", "a"): Distribution({"C2": HALF, "Z": HALF})}, InconsistentSupport,
+         "missing: ('L1', 'a', 'L1') is in the support but got zero mass"),
+        ({("L1", "a"): Distribution({"C2": HALF, "L1": HALF / 2, "Z": HALF / 2})},
+         InconsistentSupport, "extra: ('L1', 'a', 'Z') got mass 1/4 outside the support"),
+        ({("C2", "i"): {"C2": 1}}, ValidationError, "delta[('C2', 'i')] is not a Distribution"),
+    ], ids=["missing-pair", "unknown-pair-same-size", "unknown-pairs-sorted", "stray-dirac",
+            "zero-mass-dropped", "split-missing", "split-extra", "not-a-distribution"])
+    def test_instantiate_messages(self, seesaw_support, change, error, message):
+        from pfakit import seesaw_delta
+
+        spec = seesaw_delta(HALF, HALF)
+        spec.update(change)
+        spec = {pair: d for pair, d in spec.items() if d is not None}
+        if error is None:
+            assert instantiate(seesaw_support, spec).delta.spec[("L1", "a")] == spec[("L1", "a")]
+            return
+        with pytest.raises(error) as exc:
+            instantiate(seesaw_support, spec)
+        assert str(exc.value) == message
 
 
 class TestMonteCarlo:

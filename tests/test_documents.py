@@ -530,6 +530,20 @@ class TestWriter:
         assert automaton_to_document(obj, name) == reference_document(obj, name)
         assert text.isascii()
 
+    @pytest.mark.parametrize("build", [
+        lambda a: build_simulation(a).npa,
+        lambda a: instantiate_simulation(build_simulation(a), F(1, 3), F(1, 2)),
+        lambda a: fair_coin(a, F(1, 3)).automaton,
+        buchi_reduction,
+    ], ids=["simulation-npa", "simulation-instance", "fair-coin", "restart"])
+    @pytest.mark.parametrize(
+        "name", [None, 'q"\\\x00\x7f\u00e9\U0001f600'], ids=["unnamed", "tricky"])
+    def test_compiled_automata_match_json_dumps(self, build, name):
+        obj = build(random_simple_pa(0, 2, 1))
+        text = serialize_automaton(obj, name=name)
+        assert text == reference_serialize_document(reference_document(obj, name))
+        assert serialize_document(parse_document(text)) == text
+
     def test_empty_collections(self):
         doc = AutomatonDocument(
             "npa", ("q",), ("a",), "q", (), [TransitionRecord("q", "a", []),
