@@ -29,10 +29,10 @@ from .core import (
     Distribution,
     NumberlessAutomaton,
     ProbAutomaton,
-    Skeleton,
     Step,
     ZERO,
     _advance,
+    _instance,
     _kernel,
     _start,
     accept_steps,
@@ -384,9 +384,9 @@ def noisy_sweep(
     offset from an evenly spaced grid on [-eps, +eps], the last target absorbs
     the negated sum. Combinations that would leave the eps-ball in sup norm or
     drive some probability to zero or below are dropped, every surviving
-    combination is instantiated exactly on one :class:`~pfakit.core.Skeleton`
-    whose open pairs are the free ones, and :func:`value_lower_bound` runs
-    with the given budget. Points come back in grid order. A grid of more
+    combination is instantiated exactly on ``npa``'s own table, with only the
+    free pairs checked and stored, and :func:`value_lower_bound` runs with the
+    given budget. Points come back in grid order. A grid of more
     than ``MAX_SWEEP_POINTS`` combinations raises :class:`BudgetExceeded`
     before any of them is built.
     """
@@ -409,7 +409,6 @@ def noisy_sweep(
             f"{grid}^{len(axes)} = {points} grid points, more than {MAX_SWEEP_POINTS}"
         )
     steps = _offset_grid(eps, grid) if axes else []  # no axes: one point, the center
-    skeleton = Skeleton(npa, free_pairs)
 
     out: list[SweepPoint] = []
     for combo in itertools.product(steps, repeat=len(axes)):
@@ -421,7 +420,7 @@ def noisy_sweep(
         moved = [(p, p - center[pair][t]) for pair, d in shifted.items() for t, p in d.items()]
         if any(p <= 0 or abs(off) > eps for p, off in moved):
             continue
-        pa = skeleton.instantiate({pair: Distribution(d) for pair, d in shifted.items()})
+        pa = _instance(npa, {pair: Distribution(d) for pair, d in shifted.items()})
         word, value = value_lower_bound(pa, budget)
         offsets = tuple(
             (s, c, t, off) for (s, c, t), off in zip(axes, combo) if off

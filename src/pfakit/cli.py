@@ -119,8 +119,11 @@ def _load_pa(args, allow_buchi: bool = False) -> ProbAutomaton | BuchiAutomaton:
 
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as f:
+                f.write(text)
+        except OSError as e:
+            raise AutomatonError(f"cannot write {args.out!r}: {e}") from None
     else:
         sys.stdout.write(text)
 
@@ -299,8 +302,11 @@ MAX_PROP_TRIALS = 10_000
 def prop_battery(seed: int, trials: int) -> list[tuple[int, PropReport]]:
     """Deterministic battery cycling through the proposition oracles.
 
-    More than ``MAX_PROP_TRIALS`` trials raise DomainError before any work.
+    Negative trials, or more than ``MAX_PROP_TRIALS``, raise DomainError
+    before any work.
     """
+    if trials < 0:
+        raise DomainError(f"trials must be >= 0, got {trials}")
     if trials > MAX_PROP_TRIALS:
         raise DomainError(f"trials = {trials} is more than {MAX_PROP_TRIALS}")
     rng = random.Random(seed)

@@ -29,8 +29,8 @@ from .core import (
     Distribution,
     NumberlessAutomaton,
     ProbAutomaton,
-    Skeleton,
     TargetTable,
+    _instance,
     dirac,
     require_simple,
 )
@@ -492,9 +492,9 @@ def instantiate_simulation(
 ) -> ProbAutomaton:
     """Give the one coin its numbers: heads lam*theta, tails (1-lam)*theta, skip 1-theta.
 
-    The first call on ``sim`` caches the :class:`~pfakit.core.Skeleton` of
-    ``sim.npa`` on it, with (coin, $) as its one open pair; every instance of
-    ``sim`` shares the npa's integer rows and carries only its own coin toss.
+    Every instance of ``sim`` is a view of ``sim.npa``'s own table, whose one
+    multi-target pair is (coin, $), and carries only its own coin toss; only
+    that pair is checked.
     """
     lam = Fraction(lam)
     theta = Fraction(theta)
@@ -505,11 +505,7 @@ def instantiate_simulation(
     toss = Distribution(
         {sim.heads: lam * theta, sim.tails: (1 - lam) * theta, sim.skip: 1 - theta}
     )
-    skeleton = sim.__dict__.get("_skeleton")
-    if skeleton is None:
-        skeleton = Skeleton(sim.npa, {(sim.coin, DOLLAR)})
-        object.__setattr__(sim, "_skeleton", skeleton)
-    return skeleton.instantiate({(sim.coin, DOLLAR): toss})
+    return _instance(sim.npa, {(sim.coin, DOLLAR): toss})
 
 
 def simulation_parameters(sim: SimulationNPA, pa: ProbAutomaton) -> tuple[Fraction, Fraction]:

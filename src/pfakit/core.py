@@ -33,13 +33,15 @@ denominator. Such a matrix (or a power of it) can stand in for its word as a
 single step of :func:`word_matrix` and :func:`accept_steps`, which is how long
 parametric words are evaluated without reading every letter.
 
-Every automaton keeps its transitions in one integer form: per letter, a list
-over source states holding the index of the first target in state order. A
-:class:`NumberlessAutomaton` adds the targets of its pairs with several (its
-:class:`TargetTable`), a :class:`ProbAutomaton` their distributions, and its
-``delta`` is a read-only view of both. Per-pair tables and triple sets are
-compiled into rows once, at construction; :func:`instantiate` and
-:class:`Skeleton` instances share a support automaton's rows, and
+Every automaton keeps its transitions in one store, a :class:`TargetTable`:
+per letter, a list over source states holding the index of the first target in
+state order, plus the targets of the pairs with several. A
+:class:`NumberlessAutomaton`'s support is such a table; a
+:class:`ProbAutomaton`'s ``delta`` is a read-only view of one plus the
+distributions of exactly its multi-target pairs. Per-pair tables and triple
+sets are compiled into a table once, at construction; :func:`instantiate`
+gives its result the support automaton's own table,
+:func:`support_abstraction` gives back the probabilistic automaton's, and
 :func:`~pfakit.constructions.build_simulation` writes its rows directly.
 """
 
@@ -190,9 +192,9 @@ class ProbAutomaton:
 
     ``delta`` maps every (state, letter) pair to a Distribution; ``final`` is
     the accepting set. Instances are treated as immutable after construction.
-    ``delta`` is always a read-only view of integer rows plus the
-    distributions of the split pairs (see :class:`Skeleton`): a caller's table
-    is compiled into one, and a view, validated where it was made, is kept.
+    ``delta`` is always a read-only view of a :class:`TargetTable` plus the
+    distributions of that table's multi-target pairs: a caller's table is
+    compiled into one, and a view, validated where it was made, is kept.
     """
 
     states: tuple[str, ...]
@@ -217,7 +219,7 @@ class ProbAutomaton:
         delta = self.delta
         if not isinstance(delta, _SkeletonDelta):
             object.__setattr__(self, "delta", _compile_delta(self, state_set, dict(delta)))
-        elif (self.states, self.alphabet) != (delta.skeleton.states, delta.skeleton.alphabet):
+        elif (self.states, self.alphabet) != (delta.table.states, delta.table.alphabet):
             raise ValidationError("delta is a skeleton view over other states or letters")
         object.__setattr__(self, "_state_set", state_set)
         object.__setattr__(self, "_letter_set", letter_set)
@@ -244,8 +246,8 @@ def _compile_delta(pa: ProbAutomaton, state_set, delta: dict) -> _SkeletonDelta:
     firsts = list(map(first.__getitem__, ids))
     rows = {a: firsts[j::len(pa.alphabet)] for j, a in enumerate(pa.alphabet)}
     spec = {pair: d for pair, d in zip(product(pa.states, pa.alphabet), dists) if len(d._entries) > 1}
-    open_pairs = {pair: spec[pair].support() for pair in sorted(spec)}
-    return _SkeletonDelta(Skeleton.__new__(Skeleton)._share(pa, index, rows, open_pairs), spec)
+    multi = {pair: tuple(sorted(d._entries, key=index.__getitem__)) for pair, d in spec.items()}
+    return _SkeletonDelta(TargetTable(pa.states, pa.alphabet, rows, multi, int_rows=True), spec)
 
 
 def _check_delta(states, alphabet, state_set, delta) -> NoReturn:
@@ -277,9 +279,10 @@ class TargetTable(Mapping):
     lists the pairs in states x alphabet order. ``int_rows`` says that the
     writer stored only exact ints, state indices it looked up itself, so
     :meth:`rows_fit` checks their range but not their types.
-    """
 
-    __slots__ = ("states", "alphabet", "index", "rows", "multi", "singles", "int_rows")
+    A ``ProbAutomaton``'s ``delta`` is a view of such a table, whose
+    ``multi`` pairs are exactly those with a split distribution.
+    """
 
     def __init__(self, states: Sequence[str], alphabet: Sequence[str],
                  rows: dict[str, list[int]], multi: dict[tuple[str, str], tuple[str, ...]],
@@ -304,6 +307,11 @@ class TargetTable(Mapping):
 
     def __len__(self) -> int:
         return len(self.states) * len(self.alphabet)
+
+    @cached_property
+    def diracs(self) -> list[Distribution]:
+        """Each state's Dirac, built on first use: evaluation never reads them."""
+        return [Distribution._exact(((s, ONE),)) for s in self.states]
 
     def ordered(self) -> list[tuple[str, ...]]:
         """Every pair's targets in states x alphabet order, read from the rows."""
@@ -488,65 +496,18 @@ def complete_with_sink(
     return ProbAutomaton(tuple(states), tuple(alphabet), initial, full, frozenset(final))
 
 
-# --- shared Dirac skeletons ----------------------------------------------------
-
-
-class Skeleton:
-    """A support automaton's integer rows, with a few pairs left open.
-
-    ``rows[letter][i]`` is the index of the first target of
-    ``(states[i], letter)``: the support automaton's own rows, shared, not
-    copied. Every pair outside ``open`` must have one target; the ``open``
-    pairs may have several, and :meth:`instantiate` gives them distributions.
-    Every automaton built that way shares these rows: it holds only its split
-    distributions, and its ``delta`` is a read-only view that answers the
-    other pairs with Diracs. Every ``ProbAutomaton.delta`` is such a view.
-    """
-
-    def __init__(self, npa: NumberlessAutomaton, open_pairs: Iterable[tuple[str, str]]):
-        targets = {(s, a): frozenset(npa.targets(s, a)) for s, a in sorted(open_pairs)}
-        table = npa.support.table  # type: ignore[attr-defined]
-        if not targets.keys() >= table.multi.keys():
-            s, a = next(pair for pair in product(npa.states, npa.alphabet)
-                        if pair in table.multi and pair not in targets)
-            raise ValidationError(f"unexpected probabilistic pair ({s!r}, {a!r})")
-        self._share(npa, table.index, table.rows, targets)
-
-    def _share(self, automaton, index, rows, open_pairs) -> Skeleton:
-        """Take ``automaton``'s ids and its checked ``rows``, shared, with
-        ``open_pairs`` mapping each open pair to its targets."""
-        self.states, self.alphabet = automaton.states, automaton.alphabet
-        self.initial, self.final = automaton.initial, automaton.final
-        self.open, self.index, self.rows = open_pairs, index, rows
-        return self
-
-    @cached_property
-    def diracs(self) -> list[Distribution]:
-        """Each state's Dirac, built on first use: evaluation never reads them."""
-        return [Distribution._exact(((s, ONE),)) for s in self.states]
-
-    def instantiate(self, spec: Mapping[tuple[str, str], Distribution]) -> ProbAutomaton:
-        """The automaton whose open pairs carry ``spec``'s distributions.
-
-        ``spec`` must cover exactly the open pairs and put positive mass on
-        exactly their support, as :func:`instantiate` demands of a full table.
-        """
-        for s, a in sorted(set(spec) - set(self.open)):
-            raise InconsistentSupport(f"distribution given for unknown pair ({s!r}, {a!r})")
-        for (s, a), wanted in self.open.items():
-            _check_support(s, a, wanted, spec.get((s, a)))
-        view = _SkeletonDelta(self, {pair: d for pair, d in spec.items() if len(d) > 1})
-        return ProbAutomaton(self.states, self.alphabet, self.initial, view, self.final)
+# --- the rows view of every ProbAutomaton.delta ----------------------------------
 
 
 class _SkeletonDelta(Mapping):
-    """Every ``ProbAutomaton.delta``: Skeleton rows, plus ``spec``, the
-    distributions of exactly the pairs with several targets."""
+    """Every ``ProbAutomaton.delta``: a :class:`TargetTable`'s rows, plus
+    ``spec``, the distributions of exactly that table's ``multi`` pairs. The
+    other pairs are answered with the Diracs of their rows."""
 
-    __slots__ = ("skeleton", "spec")
+    __slots__ = ("table", "spec")
 
-    def __init__(self, skeleton: Skeleton, spec: dict[tuple[str, str], Distribution]):
-        self.skeleton = skeleton
+    def __init__(self, table: TargetTable, spec: dict[tuple[str, str], Distribution]):
+        self.table = table
         self.spec = spec
 
     def __getitem__(self, key):
@@ -554,23 +515,25 @@ class _SkeletonDelta(Mapping):
             d = self.spec.get(key)
             if d is not None:
                 return d
-            skel = self.skeleton
-            return skel.diracs[skel.rows[key[1]][skel.index[key[0]]]]
+            table = self.table
+            return table.diracs[table.rows[key[1]][table.index[key[0]]]]
         except (KeyError, TypeError, IndexError):
             raise KeyError(key) from None
 
     def __iter__(self):
-        return product(self.skeleton.states, self.skeleton.alphabet)
+        return iter(self.table)
 
     def __len__(self) -> int:
-        return len(self.skeleton.states) * len(self.skeleton.alphabet)
+        return len(self.table)
 
 
-def ordered_delta(pa: ProbAutomaton) -> list[Distribution]:
-    """The distributions of ``pa.delta`` in states x alphabet order, read from
-    its integer rows and split pairs without a lookup per pair."""
-    skel = pa.delta.skeleton
-    return _pair_order(skel.index, pa.alphabet, skel.rows, skel.diracs, pa.delta.spec)
+def _table_and_split(automaton: ProbAutomaton | NumberlessAutomaton) -> tuple[TargetTable, Mapping]:
+    """The rows of ``automaton`` and its split pairs: each multi-target pair's
+    targets for a support automaton, its distribution for a probabilistic one."""
+    if isinstance(automaton, NumberlessAutomaton):
+        table = automaton.support.table  # type: ignore[attr-defined]
+        return table, table.multi
+    return automaton.delta.table, automaton.delta.spec
 
 
 # --- the compiled integer kernel -------------------------------------------------
@@ -589,16 +552,16 @@ class _Kernel:
     __slots__ = ("states", "alphabet", "index", "rows", "draws", "final")
 
     def __init__(self, pa: ProbAutomaton):
-        skel = pa.delta.skeleton
+        table = pa.delta.table
         self.states, self.alphabet = pa.states, pa.alphabet
-        self.index = index = skel.index
+        self.index = index = table.index
         split: dict[str, list[tuple[int, Distribution]]] = {}
         for (s, a), d in pa.delta.spec.items():
             split.setdefault(a, []).append((index[s], d))
         self.rows: dict[str, tuple[int, list, frozenset[int]]] = {}
         self.draws: dict[str, list] | None = None
         for a in pa.alphabet:
-            self._compile_letter(a, skel.rows[a], split.get(a, ()))
+            self._compile_letter(a, table.rows[a], split.get(a, ()))
         self.final = frozenset(index[s] for s in pa.final)
 
     def _compile_letter(self, a: str, base: list[int], split) -> None:
@@ -790,12 +753,9 @@ def require_simple(pa: ProbAutomaton) -> ProbAutomaton:
 
 
 def support_abstraction(pa: ProbAutomaton) -> NumberlessAutomaton:
-    """Erase the numbers: the support automaton on ``pa``'s own rows, whose
-    multi-target pairs are ``pa``'s split pairs."""
-    skel, spec = pa.delta.skeleton, pa.delta.spec
-    multi = {pair: tuple(sorted(d, key=skel.index.__getitem__)) for pair, d in spec.items()}
-    table = TargetTable(pa.states, pa.alphabet, skel.rows, multi, int_rows=True)
-    return NumberlessAutomaton.from_targets(pa.states, pa.alphabet, pa.initial, table, pa.final)
+    """Erase the numbers: the support automaton on ``pa``'s own table."""
+    return NumberlessAutomaton.from_targets(pa.states, pa.alphabet, pa.initial, pa.delta.table,
+                                            pa.final)
 
 
 def _check_support(s: str, a: str, wanted: frozenset[str], dist) -> None:
@@ -844,7 +804,7 @@ def instantiate(
     on a support triple vs. extra mass outside the support). Each distinct
     Distribution object is checked once against the rows; the pairs are
     walked only when that check fails, to name the first violation. The
-    result shares ``npa``'s rows.
+    result's ``delta`` is a view of ``npa``'s own table.
     """
     table = npa.support.table  # type: ignore[attr-defined]
     dists = list(map(delta_spec.get, product(npa.states, npa.alphabet)))
@@ -854,7 +814,25 @@ def instantiate(
         for s in npa.states:
             for a in npa.alphabet:
                 _check_support(s, a, frozenset(npa.targets(s, a)), delta_spec.get((s, a)))
-    view = _SkeletonDelta(Skeleton(npa, table.multi), {p: delta_spec[p] for p in table.multi})
+    return _instance(npa, {pair: delta_spec[pair] for pair in table.multi})
+
+
+def _instance(npa: NumberlessAutomaton, split: Mapping[tuple[str, str], Distribution]
+              ) -> ProbAutomaton:
+    """The automaton on ``npa``'s own table whose multi-target pairs carry
+    ``split``'s distributions; every other pair is its row's Dirac.
+
+    ``split`` must cover exactly those pairs and put positive mass on exactly
+    their targets. Only its pairs are checked, in sorted order, so this costs
+    nothing per Dirac pair.
+    """
+    table = npa.support.table  # type: ignore[attr-defined]
+    multi = table.multi
+    for s, a in sorted(split.keys() - multi.keys()):
+        raise InconsistentSupport(f"distribution given for unknown pair ({s!r}, {a!r})")
+    for s, a in sorted(multi):
+        _check_support(s, a, frozenset(multi[(s, a)]), split.get((s, a)))
+    view = _SkeletonDelta(table, {pair: split[pair] for pair in multi})
     return ProbAutomaton(npa.states, npa.alphabet, npa.initial, view, npa.final)
 
 

@@ -43,7 +43,9 @@ from fractions import Fraction
 from itertools import chain, repeat
 from typing import Union
 
-from .core import MAX_EXPONENT, Distribution, NumberlessAutomaton, ProbAutomaton, instantiate
+from .core import (
+    MAX_EXPONENT, Distribution, NumberlessAutomaton, ProbAutomaton, _table_and_split, instantiate,
+)
 from .constructions import BuchiAutomaton
 from .errors import ParseError, ValidationError
 
@@ -483,17 +485,14 @@ def serialize_automaton(obj: Automaton, name: str | None = None) -> str:
     rows: one "to" text per target state, and one per split pair."""
     if isinstance(obj, NumberlessAutomaton):
         kind, pa, final = "npa", obj, obj.final
-        table = obj.support.table  # type: ignore[attr-defined]
-        index, rows, split = table.index, table.rows, table.multi
     elif isinstance(obj, BuchiAutomaton):
         kind, pa, final = "pba", obj.automaton, obj.accepting
     elif isinstance(obj, ProbAutomaton):
         kind, pa, final = "pa", obj, obj.final
     else:
         raise ValidationError(f"cannot serialize object of type {type(obj).__name__}")
-    if kind != "npa":
-        skel = pa.delta.skeleton
-        index, rows, split = skel.index, skel.rows, pa.delta.spec
+    table, split = _table_and_split(pa)
+    index, rows = table.index, table.rows
     quoted = [_quote(s) for s in pa.states]
     # Each target state's "to": a one-target list, or a Dirac.
     head, tail = ("[", "\n      ]") if kind == "npa" else ("{", ': "1"\n      }')

@@ -11,12 +11,16 @@ from __future__ import annotations
 
 from typing import Union
 
-from .core import NumberlessAutomaton, ProbAutomaton, ordered_delta
+from .core import NumberlessAutomaton, ProbAutomaton, _table_and_split
 from .constructions import BuchiAutomaton
 
 
+def _escape(s: str) -> str:
+    return s.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def _quote(s: str) -> str:
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return '"' + _escape(s) + '"'
 
 
 def export_dot(obj: Union[ProbAutomaton, NumberlessAutomaton, BuchiAutomaton]) -> str:
@@ -28,34 +32,28 @@ def export_dot(obj: Union[ProbAutomaton, NumberlessAutomaton, BuchiAutomaton]) -
         "  node [shape=circle];",
         '  __init__ [shape=point, style=invis, label=""];',
     ]
-    quoted = {s: _quote(s) for s in obj.states}
-    for s in obj.states:
+    quoted = [_quote(s) for s in obj.states]
+    for s, q in zip(obj.states, quoted):
         shape = "doublecircle" if s in obj.final else "circle"
-        lines.append(f"  {quoted[s]} [shape={shape}];")
-    lines.append(f"  __init__ -> {quoted[obj.initial]};")
+        lines.append(f"  {q} [shape={shape}];")
+    lines.append(f"  __init__ -> {_quote(obj.initial)};")
 
-    order = {s: i for i, s in enumerate(obj.states)}
-    # Stacked labels keep their literal \n separators, so letters escape quotes only.
-    letters = [c.replace('"', '\\"') for c in obj.alphabet]
-    k = len(letters)
-    if isinstance(obj, ProbAutomaton):
-        rows = ordered_delta(obj)  # in states x alphabet order
-
-        def fragments(i):
-            return ((t, f"{e}, {p}") for e, d in zip(letters, rows[i * k:i * k + k])
-                    for t, p in d.items())
-    else:
-        tos = obj.support.table.ordered()  # in states x alphabet order
-
-        def fragments(i):
-            return ((t, e) for e, ts in zip(letters, tos[i * k:i * k + k]) for t in ts)
-
-    for i, s in enumerate(obj.states):
-        labels: dict[str, list[str]] = {}  # target -> label fragments, alphabet order
-        for t, fragment in fragments(i):
-            labels.setdefault(t, []).append(fragment)
-        for t in sorted(labels, key=order.__getitem__):
+    table, split = _table_and_split(obj)
+    index = table.index
+    # Stacked labels keep their literal \n separators, so each letter is escaped alone.
+    one = ", 1" if isinstance(obj, ProbAutomaton) else ""  # a Dirac's probability
+    letters = [(a, _escape(a), table.rows[a]) for a in obj.alphabet]
+    for i, (s, q) in enumerate(zip(obj.states, quoted)):
+        labels: dict[int, list[str]] = {}  # target -> label fragments, alphabet order
+        for a, e, row in letters:
+            hits = split.get((s, a))  # a split pair's targets, or its distribution
+            if hits is None:
+                labels.setdefault(row[i], []).append(e + one)
+            else:
+                for t in hits:
+                    labels.setdefault(index[t], []).append(f"{e}, {hits[t]}" if one else e)
+        for t in sorted(labels):
             label = "\\n".join(labels[t])
-            lines.append(f'  {quoted[s]} -> {quoted[t]} [label="{label}"];')
+            lines.append(f'  {q} -> {quoted[t]} [label="{label}"];')
     lines.append("}\n")
     return "\n".join(lines)

@@ -517,6 +517,20 @@ class TestWorkBounds:
         assert out == ""
         assert err == "error: trials = 10001 is more than 10000\n"
 
+    def test_check_props_negative_trials(self, capsys):
+        code, out, err = run(capsys, "check-props", "--trials", "-3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: trials must be >= 0, got -3\n"
+
+    def test_out_to_a_path_that_cannot_be_written(self, capsys, tiny_doc, tmp_path):
+        path = str(tmp_path / "nonexistent" / "x.json")
+        code, out, err = run(capsys, "simulate-build", "--automaton", tiny_doc, "--out", path)
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: cannot write {path!r}: "
+                       f"[Errno 2] No such file or directory: {path!r}\n")
+
     def test_search_beyond_the_belief_bound(self, capsys, monkeypatch, seesaw_doc):
         monkeypatch.setattr("pfakit.analysis.MAX_SEARCH_BELIEFS", 20)
         code, out, err = run(

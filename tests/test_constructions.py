@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from oracles import raw_accept, raw_reach
 from pfakit.constructions import MAX_ENCODED_LETTERS
-from pfakit.core import Skeleton
 from pfakit import (
     NEXT_TRANSITION,
     NEXT_WORD,
@@ -401,10 +400,10 @@ class TestTableBuiltSimulation:
 
     def test_skeleton_shares_the_rows(self):
         sim = build_simulation(random_simple_pa(7, 2, 1))
-        rows = sim.npa.support.table.rows
-        assert Skeleton(sim.npa, {(sim.coin, "$")}).rows is rows
         c = instantiate_simulation(sim, F(1, 3), F(1, 4))
-        assert c.delta.skeleton.rows is rows
+        assert c.delta.table is sim.npa.support.table
+        assert list(c.delta.spec) == [(sim.coin, "$")]
+        assert "_skeleton" not in sim.__dict__  # nothing is cached on the frozen sim
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import raw_accept, raw_reach
-from pfakit.core import Skeleton, TargetTable
+from pfakit.core import TargetTable, _instance
 from pfakit import (
     Distribution,
     DomainError,
@@ -327,16 +327,6 @@ class TestValidationMessages:
         npa = self.build(table)
         assert list(table)[2:5] == [("s", "a"), ("q", "b"), ("r", "b")]
         assert list(npa.support.table)[2:5] == [("r", "a"), ("r", "b"), ("s", "a")]
-        Skeleton(npa, {("q", "a"), ("s", "a"), ("r", "b")})
-        for open_pairs, first in [
-            ({("q", "a")}, "('r', 'b')"),
-            ({("q", "a"), ("r", "b")}, "('s', 'a')"),
-            ((), "('q', 'a')"),
-            ({("q", "b"), ("s", "a"), ("r", "b")}, "('q', 'a')"),
-        ]:
-            with pytest.raises(ValidationError) as exc:
-                Skeleton(npa, open_pairs)
-            assert str(exc.value) == f"unexpected probabilistic pair {first}"
 
 
 class TestDeltaMessages:
@@ -438,13 +428,12 @@ def _built(how, monkeypatch):
     if how == "instantiate":
         spec = seesaw_delta(F(3, 4), F(1, 4))
         return instantiate(seesaw_npa(), spec), spec
-    if how == "Skeleton.instantiate":
+    if how == "_instance":
         npa = seesaw_npa()
         spec = {pair: d for pair, d in seesaw_delta(F(2, 5), F(1, 3)).items() if len(d) > 1}
-        spec[("C1", "a")] = dirac("C1")  # an open pair with one target
         table = {(s, c): spec.get((s, c)) or dirac(npa.targets(s, c)[0])
                  for s in npa.states for c in npa.alphabet}
-        return Skeleton(npa, spec).instantiate(spec), table
+        return _instance(npa, spec), table
     if how == "pa document":
         return caught(lambda: _document(random_simple_pa(5, 4, 2)))
     if how == "pba document":
@@ -469,49 +458,36 @@ def _built(how, monkeypatch):
 
 
 class TestOrderedDelta:
-    """``ordered_delta`` against a lookup per pair, for every way to build an automaton:
-    each gives the one ``delta`` form, the rows view."""
+    """The rows view against a lookup per pair, for every way to build an automaton:
+    each gives the one ``delta`` form, a view of a TargetTable."""
 
     @pytest.mark.parametrize("how", [
-        "dict", "complete_with_sink", "instantiate", "Skeleton.instantiate", "pa document",
+        "dict", "complete_with_sink", "instantiate", "_instance", "pa document",
         "pba document", "npa document", "fair_coin", "buchi_reduction", "fairness_dfa",
         "random_simple_pa",
     ])
     def test_every_constructor_gives_one_form(self, how, monkeypatch):
         from itertools import product
 
-        from pfakit.core import _kernel, _SkeletonDelta, ordered_delta
+        from pfakit.core import _kernel, _SkeletonDelta
 
         pa, table = _built(how, monkeypatch)
         pairs = list(product(pa.states, pa.alphabet))
-        assert type(pa.delta) is _SkeletonDelta
-        assert ordered_delta(pa) == [table[pair] for pair in pairs]
+        assert type(pa.delta) is _SkeletonDelta and type(pa.delta.table) is TargetTable
+        assert [pa.delta[pair] for pair in pairs] == [table[pair] for pair in pairs]
         assert pa == ProbAutomaton(pa.states, pa.alphabet, pa.initial, dict(pa.delta), pa.final)
-        # the twin: a support automaton compiled from triples, instantiated on a Skeleton
+        # the twin: a support automaton compiled from triples, instantiated on its own table
         npa = NumberlessAutomaton(pa.states, pa.alphabet, pa.initial,
                                   {(s, c, t) for (s, c), d in table.items() for t in d}, pa.final)
         split = {pair: d for pair, d in table.items() if len(d) > 1}
-        twin = Skeleton(npa, split).instantiate(split)
+        twin = _instance(npa, split)
         assert _kernel(pa).rows == _kernel(twin).rows
         assert pa.delta.spec == split and list(pa.delta) == pairs
-        skel = pa.delta.skeleton  # its open pairs take their own distributions back
-        assert skel.instantiate({pair: pa.delta[pair] for pair in skel.open}) == pa
+        assert pa.delta.table.multi.keys() == split.keys()
         assert support_abstraction(pa) == npa
-        assert support_abstraction(pa).support.table.rows is pa.delta.skeleton.rows
-
-    @pytest.mark.parametrize("shape", [(2, 1), (2, 2), (3, 2)])
-    def test_matches_a_lookup_per_pair(self, shape):
-        from pfakit import build_simulation, instantiate_simulation
-        from pfakit.core import _SkeletonDelta, ordered_delta
-
-        sim = build_simulation(random_simple_pa(0, *shape))
-        inst = instantiate_simulation(sim, F(1, 3), F(1, 2))
-        assert isinstance(inst.delta, _SkeletonDelta)
-        plain = ProbAutomaton(inst.states, inst.alphabet, inst.initial, dict(inst.delta), inst.final)
-        for pa in (inst, plain, sim.checker):
-            want = [pa.delta[(s, c)] for s in pa.states for c in pa.alphabet]
-            got = ordered_delta(pa)
-            assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
+        assert support_abstraction(pa).support.table is pa.delta.table
+        # its split pairs take their own distributions back on its own table
+        assert _instance(support_abstraction(pa), pa.delta.spec) == pa
 
 
 class TestEvaluation:
@@ -625,11 +601,11 @@ class TestSupportRoundTrip:
         from pfakit import build_simulation, instantiate_simulation, seesaw_delta
 
         pa = instantiate(seesaw_support, seesaw_delta(F(3, 4), F(1, 4)))
-        assert pa.delta.skeleton.rows is seesaw_support.support.table.rows
+        assert pa.delta.table is seesaw_support.support.table
         assert pa.delta.spec.keys() == seesaw_support.support.table.multi.keys()
         sim = build_simulation(random_simple_pa(0, 2, 1))
         c = instantiate(sim.npa, dict(instantiate_simulation(sim, F(1, 3), F(1, 2)).delta))
-        assert c.delta.skeleton.rows is sim.npa.support.table.rows
+        assert c.delta.table is sim.npa.support.table
         assert list(c.delta.spec) == [(sim.coin, "$")]
 
     def test_instantiate_refuses_a_non_distribution(self, seesaw_support):
@@ -703,6 +679,48 @@ class TestSupportRoundTrip:
         with pytest.raises(error) as exc:
             instantiate(seesaw_support, spec)
         assert str(exc.value) == message
+
+
+class TestInstance:
+    """``_instance`` checks only the split pairs, in sorted pair order."""
+
+    @pytest.mark.parametrize("change,error,message", [
+        ({("C1", "i"): None}, InconsistentSupport, "missing: no distribution for ('C1', 'i')"),
+        ({("C1", "a"): dirac("C1")}, InconsistentSupport,
+         "distribution given for unknown pair ('C1', 'a')"),
+        ({("Z", "a"): dirac("C1"), ("C1", "z"): dirac("C1")}, InconsistentSupport,
+         "distribution given for unknown pair ('C1', 'z')"),
+        ({("L1", "a"): dirac("L1")}, InconsistentSupport,
+         "missing: ('L1', 'a', 'C2') is in the support but got zero mass"),
+        ({("L1", "a"): Distribution({"C2": HALF, "L1": HALF / 2, "Z": HALF / 2})},
+         InconsistentSupport, "extra: ('L1', 'a', 'Z') got mass 1/4 outside the support"),
+        ({("R1", "a"): {"C2": 1}}, ValidationError, "delta[('R1', 'a')] is not a Distribution"),
+    ], ids=["missing-pair", "dirac-pair", "unknown-pairs-sorted", "split-missing",
+            "split-extra", "not-a-distribution"])
+    def test_messages(self, seesaw_support, change, error, message):
+        from pfakit import seesaw_delta
+
+        split = {pair: d for pair, d in seesaw_delta(HALF, HALF).items() if len(d) > 1}
+        split.update(change)
+        split = {pair: d for pair, d in split.items() if d is not None}
+        with pytest.raises(error) as exc:
+            _instance(seesaw_support, split)
+        assert str(exc.value) == message
+
+    def test_first_offender_in_sorted_pair_order(self):
+        # the table, its multi-target pairs and the split all list ('q', 'b') first
+        npa = NumberlessAutomaton.from_targets(("p", "q"), ("a", "b"), "p", {
+            ("q", "b"): ("p", "q"), ("p", "a"): ("q", "p"), ("p", "b"): ("p",), ("q", "a"): ("q",),
+        }, {"q"})
+        assert list(npa.support.table.multi) == [("q", "b"), ("p", "a")]
+        split = {("q", "b"): dirac("q"), ("p", "a"): dirac("p")}
+        with pytest.raises(InconsistentSupport) as exc:
+            _instance(npa, split)
+        assert str(exc.value) == "missing: ('p', 'a', 'q') is in the support but got zero mass"
+        split[("p", "a")] = Distribution({"p": HALF, "q": HALF})
+        with pytest.raises(InconsistentSupport) as exc:
+            _instance(npa, split)
+        assert str(exc.value) == "missing: ('q', 'b', 'p') is in the support but got zero mass"
 
 
 class TestMonteCarlo:

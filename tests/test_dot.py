@@ -24,6 +24,30 @@ def edge_lines(text):
     return [l for l in text.splitlines() if " -> " in l and "__init__" not in l]
 
 
+def dot_strings(line):
+    """The quoted strings of a DOT line, read as Graphviz reads them: inside
+    quotes, a backslash and the character after it are one pair. Each string
+    comes back as its label fragments, split at the \\n pairs and unescaped;
+    None if a string never closes."""
+    strings, inside, chars = [], False, iter(line)
+    for ch in chars:
+        if not inside:
+            if ch == '"':
+                inside, fragments = True, [""]
+        elif ch == '"':
+            strings.append(fragments)
+            inside = False
+        elif ch == "\\":
+            pair = next(chars, "")
+            if pair == "n":
+                fragments.append("")
+            else:
+                fragments[-1] += pair
+        else:
+            fragments[-1] += ch
+    return None if inside else strings
+
+
 class TestExportDot:
     def test_npa_frozen_edge_count(self):
         assert len(edge_lines(export_dot(seesaw_npa()))) == 13
@@ -70,6 +94,23 @@ class TestExportDot:
     def test_deterministic_output(self, seesaw_fast):
         assert export_dot(seesaw_fast) == export_dot(seesaw_fast)
 
+    @pytest.mark.parametrize("letter", ["a\\", "\\N", '"\\', "\\\\n"])
+    def test_letters_with_backslashes_close_their_labels(self, letter):
+        targets = {("p", letter): ("p", "q"), ("p", "b"): ("q",),
+                   ("q", letter): ("q",), ("q", "b"): ("q",)}
+        npa = NumberlessAutomaton.from_targets(("p", "q"), (letter, "b"), "p", targets, {"q"})
+        pa = ProbAutomaton(("p", "q"), (letter, "b"), "p", {
+            pair: Distribution({t: F(1, len(ts)) for t in ts}) for pair, ts in targets.items()
+        }, {"q"})
+        for obj, cut in ((npa, lambda f: f), (pa, lambda f: f.rpartition(", ")[0])):
+            lines = edge_lines(export_dot(obj))
+            assert len(lines) == 3
+            for line in lines:
+                strings = dot_strings(line)
+                assert strings is not None and len(strings) == 3, line
+                assert {cut(f) for f in strings[2]} <= {letter, "b"}, line
+            assert [cut(f) for f in dot_strings(lines[0])[2]] == [letter]  # p -> p
+
 
 def reference_export_dot(obj):
     """The renderer that looked up every (state, letter) pair through the
@@ -89,14 +130,15 @@ def reference_export_dot(obj):
     labels = {}
     for s in obj.states:
         for c in obj.alphabet:
+            e = quote(c)[1:-1]  # a letter is escaped as an id is
             if isinstance(obj, ProbAutomaton):
-                fragments = [(t, f"{c}, {p}") for t, p in obj.delta[(s, c)].items()]
+                fragments = [(t, f"{e}, {p}") for t, p in obj.delta[(s, c)].items()]
             else:
-                fragments = [(t, c) for t in obj.targets(s, c)]
+                fragments = [(t, e) for t in obj.targets(s, c)]
             for t, fragment in fragments:
                 labels.setdefault((s, t), []).append(fragment)
     for s, t in sorted(labels, key=lambda st: (order[st[0]], order[st[1]])):
-        label = "\\n".join(f.replace('"', '\\"') for f in labels[(s, t)])
+        label = "\\n".join(labels[(s, t)])
         lines.append(f'  {quote(s)} -> {quote(t)} [label="{label}"];')
     return "\n".join(lines + ["}"]) + "\n"
 
