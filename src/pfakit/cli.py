@@ -76,8 +76,20 @@ def _word_out(word: Sequence[str]) -> str:
     return " ".join(word) if word else "(empty)"
 
 
+def _exact(value: Fraction) -> str:
+    """``str(value)`` at any size. Exact values outgrow Python's int-to-str
+    digit limit; it is lifted only while rendering, so flags and documents are
+    still parsed under it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _fmt(value: Fraction) -> str:
-    return f"{value} = {float(value)}"
+    return f"{_exact(value)} = {float(value)}"
 
 
 def _parse_sets(pairs: Sequence[str]) -> dict[str, Fraction]:
@@ -239,7 +251,7 @@ def _cmd_sweep(args) -> int:
             ";".join(f"{s}|{c}|{t}|{off}" for (s, c, t, off) in pt.offsets) or "center"
         )
         rows.append(
-            [offsets, _word_out(pt.word), str(pt.value), repr(float(pt.value))]
+            [offsets, _word_out(pt.word), _exact(pt.value), repr(float(pt.value))]
         )
     _csv_out(args, ["offsets", "word", "value", "value_float"], rows)
     return 0
@@ -248,23 +260,16 @@ def _cmd_sweep(args) -> int:
 def _cmd_case_study(args) -> int:
     rows = seesaw_case_study(args.x, args.y, args.n_max, args.m_max, args.eps)
     hit = first_exceeding(rows)
-    # Exact values outgrow Python's int-to-str digit limit; lift it only while
-    # rendering, so flags and documents are still parsed under it.
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        table = [
-            [str(r.n), str(r.m), str(r.exact), repr(r.approx), str(int(r.exceeds))]
-            for r in rows
-        ]
-        _csv_out(args, ["n", "m", "exact", "float", "exceeds"], table)
-        if hit is not None:
-            print(
-                f"first exceeding 1-eps: n={hit.n} m={hit.m} value={_fmt(hit.exact)}",
-                file=sys.stderr,
-            )
-    finally:
-        sys.set_int_max_str_digits(limit)
+    table = [
+        [str(r.n), str(r.m), _exact(r.exact), repr(r.approx), str(int(r.exceeds))]
+        for r in rows
+    ]
+    _csv_out(args, ["n", "m", "exact", "float", "exceeds"], table)
+    if hit is not None:
+        print(
+            f"first exceeding 1-eps: n={hit.n} m={hit.m} value={_fmt(hit.exact)}",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -396,8 +401,8 @@ def _cmd_check_props(args) -> int:
                 str(trial),
                 rep.proposition,
                 "; ".join(f"{k}={v}" for k, v in rep.inputs),
-                "" if rep.lhs is None else str(rep.lhs),
-                "" if rep.rhs is None else str(rep.rhs),
+                "" if rep.lhs is None else _exact(rep.lhs),
+                "" if rep.rhs is None else _exact(rep.rhs),
                 "" if rep.lhs is None else repr(float(rep.lhs)),
                 "" if rep.rhs is None else repr(float(rep.rhs)),
                 rep.relation,

@@ -840,8 +840,10 @@ def _draws(k: _Kernel) -> dict[str, list]:
     """Each letter's row for sampling, built on first use and cached on ``k``.
 
     It is the letter's compiled row with each split entry replaced by
-    ``(lcm of the row's denominators, ((target, cumulative numerator), ...))``
-    in sorted state order; Dirac-only letters share the compiled row.
+    ``(den, den.bit_length(), ((target, cumulative numerator), ...))`` in
+    sorted state order, where ``den`` is the lcm of the row's denominators;
+    Dirac-only letters share the compiled row. The width is the one
+    ``random.Random.randrange(den)`` draws with, bit for bit.
     """
     if k.draws is None:
         k.draws = {}
@@ -853,7 +855,7 @@ def _draws(k: _Kernel) -> dict[str, list]:
                 for t, q in row[i]:
                     cum += q // g
                     table.append((t, cum))
-                draw[i] = (den // g, tuple(table))
+                draw[i] = (den // g, (den // g).bit_length(), tuple(table))
             k.draws[a] = draw
     return k.draws
 
@@ -881,9 +883,12 @@ def monte_carlo_accept(
     samples fill it as they go; a sample then pays one draw per split row it
     meets, plus one dict lookup when the draw lands on a Dirac row, not one
     step per letter. The draws are the same, in number, range and order, as a
-    letter-by-letter walk makes, so every estimate is too. The memo lives for
-    one call and stops growing at len(word) + len(pa.states) entries, the
-    size of its inputs; runs it does not hold are walked letter by letter.
+    letter-by-letter walk with ``randrange`` makes, so every estimate is too:
+    each is ``randrange``'s own rejection loop, ``getrandbits(den.bit_length())``
+    again while it is at least ``den``, without its argument checks. The memo
+    lives for one call and stops growing at len(word) + len(pa.states)
+    entries, the size of its inputs; runs it does not hold are walked letter
+    by letter.
     More than ``MAX_MC_STEPS`` samples x letters raise DomainError before any work.
     """
     if samples < 1:
@@ -909,15 +914,17 @@ def monte_carlo_accept(
             memo[key] = (pos, entry)
         return pos, entry
 
-    randrange = random.Random(seed).randrange
+    getrandbits = random.Random(seed).getrandbits
     get = memo.get
     first = jump(0, k.index[pa.initial])
     hits = 0
     for _ in range(samples):
         pos, entry = first
         while entry.__class__ is tuple:
-            den, table = entry
-            r = randrange(den)
+            den, bits, table = entry
+            r = getrandbits(bits)
+            while r >= den:
+                r = getrandbits(bits)
             for t, cum in table:
                 if r < cum:
                     break

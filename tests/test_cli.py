@@ -12,6 +12,7 @@ from pfakit import (
     Distribution,
     ProbAutomaton,
     PropReport,
+    accept_prob,
     build_simulation,
     hat,
     parse_automaton,
@@ -60,6 +61,25 @@ class TestEval:
         )
         assert code == 0
         assert out.strip() == "0 = 0.0"
+
+    @pytest.mark.parametrize("command", [["eval"], ["monte-carlo", "--samples", "10"]])
+    def test_values_past_the_int_digit_limit(self, capsys, seesaw_doc, command):
+        word = ["i", "a", "a", "a", "f"] * 2500
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run(
+            capsys, *command, "--automaton", seesaw_doc,
+            "--set", "x=1/3", "--set", "y=1/7", "--word", " ".join(word),
+        )
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        line = next(s for s in out.splitlines() if "/" in s)
+        exact = line.removeprefix("exact: ").split(" = ")[0]
+        assert max(len(part) for part in exact.split("/")) > limit
+        sys.set_int_max_str_digits(0)
+        try:
+            assert F(exact) == accept_prob(seesaw_pa(F(1, 3), F(1, 7)), word)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_reach(self, capsys, seesaw_doc):
         code, out, _ = run(
@@ -246,6 +266,8 @@ class TestReports:
         assert "violated" in out
         assert "violated" in err
 
+    # Both estimates were recorded with randrange's draws; the sampler must
+    # make the same draws, end to end.
     def test_monte_carlo(self, capsys, seesaw_doc):
         code, out, _ = run(
             capsys, "monte-carlo", "--automaton", seesaw_doc,
@@ -253,8 +275,17 @@ class TestReports:
             "--word", "i f", "--samples", "400", "--seed", "3",
         )
         assert code == 0
-        assert "exact: 1/2 = 0.5" in out
-        assert "estimate:" in out and "abs_error:" in out
+        assert out.splitlines()[:2] == ["estimate: 0.495", "exact: 1/2 = 0.5"]
+        assert "abs_error:" in out
+
+    def test_monte_carlo_estimate_over_split_rows(self, capsys, seesaw_doc):
+        code, out, _ = run(
+            capsys, "monte-carlo", "--automaton", seesaw_doc,
+            "--set", "x=3/4", "--set", "y=1/4",
+            "--word", "i a a f i a a f", "--samples", "5000", "--seed", "11",
+        )
+        assert code == 0
+        assert out.splitlines()[:2] == ["estimate: 0.463", "exact: 243/512 = 0.474609375"]
 
     def test_export_dot(self, capsys, seesaw_doc):
         code, out, _ = run(capsys, "export-dot", "--automaton", seesaw_doc)

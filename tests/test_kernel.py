@@ -257,6 +257,36 @@ def test_monte_carlo_on_simulation_instances_matches_the_reference(sim_source, s
             assert got == reference_monte_carlo(pa, word, samples, seed)
 
 
+def one_split_row(den: int) -> ProbAutomaton:
+    """Three states whose only split row, (s0, a), has lcm ``den``: s0 stays,
+    or goes to s1 or s2, and both lead back to s0 through s1."""
+    k1 = next(k for k in range(den // 3, den) if math.gcd(k, den) == 1)
+    k2 = den // 3
+    stay = F(den - k1 - k2, den)
+    delta = {
+        ("s0", "a"): Distribution({"s0": stay, "s1": F(k1, den), "s2": F(k2, den)}),
+        ("s1", "a"): dirac("s0"),
+        ("s2", "a"): dirac("s1"),
+    }
+    return ProbAutomaton(("s0", "s1", "s2"), ("a",), "s0", delta, frozenset({"s1"}))
+
+
+@pytest.mark.parametrize(
+    "den", [4, 8, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 3 * 2**40, 2**64 + 13, 10**30 + 7]
+)
+def test_monte_carlo_draws_at_wide_denominators(den):
+    """Powers of two, where randrange's width wastes a bit, and widths on
+    either side of the Mersenne Twister's 32-bit words."""
+    pa = one_split_row(den)
+    for seed in (0, 1, 2**40 + 3):
+        for length in (1, 7):
+            word = ["a"] * length
+            got = monte_carlo_accept(pa, word, 300, seed)
+            assert got == reference_monte_carlo(pa, word, 300, seed)
+    entry = pa._kernel.draws["a"][0]
+    assert entry[:2] == (den, den.bit_length())
+
+
 def test_monte_carlo_errors():
     pa = seesaw_pa(F(3, 4), F(1, 4))
     # The sample count and the step bound are checked before the automaton
