@@ -124,13 +124,13 @@ class Distribution:
                 )
             p = Fraction(p)
             if p < 0:
-                raise NotADistribution(f"negative mass {p} on state {state!r}")
+                raise NotADistribution(f"negative mass {_show(p)} on state {state!r}")
             if p == 0:
                 continue
             kept[state] = p
             total += p
         if total != 1:
-            raise NotADistribution(f"entries sum to {total}, expected 1")
+            raise NotADistribution(f"entries sum to {_show(total)}, expected 1")
         self._entries = kept
 
     @classmethod
@@ -168,6 +168,14 @@ class Distribution:
     def __repr__(self) -> str:
         inner = ", ".join(f"{s}: {p}" for s, p in self._entries.items())
         return f"Distribution({{{inner}}})"
+
+
+def _show(p: Fraction) -> str:
+    """``str(p)``, or a note where ``p`` has more digits than Python renders."""
+    try:
+        return str(p)
+    except ValueError:
+        return "a fraction too long to print"
 
 
 def dirac(state: str) -> Distribution:

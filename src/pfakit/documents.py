@@ -18,15 +18,24 @@ the text with a single join, escaping strings with json's own
 ``encode_basestring_ascii``. serialize_document renders each distinct "to"
 value once; serialize_automaton reads the automaton's integer rows, renders
 one "to" text per target state and one per split pair, and takes each
-letter's column of texts straight from its row.
+letter's column of texts straight from its row. A probability with more
+digits than a document's literals may hold is refused before any rendering.
 serialize_document(parse_document(text)) == text for canonical text;
 expression strings are preserved verbatim, and loading evaluates each
 distinct one once.
 
-parse_document checks the records' shapes in bulk, by the set of types in
-each field, and walks the records only when a check fails, to name the first
-malformed one. The records it builds take the freshly loaded values without
-the copies TransitionRecord's constructor makes.
+A parsed document keeps its transitions as the three columns ``json.loads``
+yields: "from", "letter" and "to", with equal target lists sharing one
+tuple. Its :class:`TransitionRecord` objects are built only when
+``AutomatonDocument.transitions`` is first read, which nothing in the library
+does. parse_document checks the columns' shapes in bulk, by the set of types
+in each field. document_to_automaton checks every source and target against
+the states with one set operation and, when the records name each pair once
+(every document the library writes lists them in states x alphabet order,
+which needs no sorting), writes the rows and split pairs straight into a
+``TargetTable``; serialize_document sorts only records out of that order.
+The records are walked one by one only when a bulk check fails, to name the
+first offender, and for an npa's several records for one pair, which merge.
 
 Structural problems (bad JSON, wrong shapes) raise ParseError; semantic
 problems (unknown ids, bad sums, unbound parameters) raise ValidationError.
@@ -37,17 +46,18 @@ from __future__ import annotations
 import functools
 import json
 from collections import deque
-from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from typing import Union
 
 from .core import (
-    MAX_EXPONENT, Distribution, NumberlessAutomaton, ProbAutomaton, _table_and_split, instantiate,
+    MAX_EXPONENT, Distribution, NumberlessAutomaton, ProbAutomaton, TargetTable, _instance,
+    _SkeletonDelta, _table_and_split, instantiate,
 )
 from .constructions import BuchiAutomaton
-from .errors import ParseError, ValidationError
+from .errors import AutomatonError, NotADistribution, ParseError, ValidationError
 
 KINDS = ("pa", "npa", "pba")
 
@@ -69,25 +79,74 @@ class TransitionRecord:
             object.__setattr__(self, "to", tuple(self.to))
 
 
-@dataclass(frozen=True)
-class AutomatonDocument:
-    kind: str
-    states: tuple[str, ...]
-    alphabet: tuple[str, ...]
-    initial: str
-    final: tuple[str, ...]
-    transitions: tuple[TransitionRecord, ...]
-    name: str | None = None
-    params: tuple[str, ...] = ()
+_FIELDS = ("kind", "states", "alphabet", "initial", "final", "transitions", "name", "params")
 
-    def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        object.__setattr__(self, "final", tuple(self.final))
-        object.__setattr__(self, "params", tuple(self.params))
-        object.__setattr__(self, "transitions", tuple(self.transitions))
-        if self.kind not in KINDS:
-            raise ValidationError(f"unknown document kind {self.kind!r}")
+
+class AutomatonDocument:
+    """A document: its header fields, and its transitions as three columns.
+
+    The columns hold each record's "from", "letter" and "to" (a dict target
+    -> expression, or a tuple of targets) in record order. ``transitions``,
+    the :class:`TransitionRecord` of each, is built on first read, so
+    documents that :func:`parse_document` reads and the library loads or
+    writes never build one. The constructor takes records, as before; equality,
+    hashing and ``repr`` are those of the dataclass with the fields of
+    ``_FIELDS``, and the document is frozen.
+    """
+
+    def __init__(self, kind: str, states: Sequence[str], alphabet: Sequence[str], initial: str,
+                 final: Sequence[str], transitions: Iterable[TransitionRecord],
+                 name: str | None = None, params: Sequence[str] = ()):
+        records = tuple(transitions)
+        columns = ([r.source for r in records], [r.letter for r in records], [r.to for r in records])
+        self._fill(kind, states, alphabet, initial, final, columns, name, params)
+        self.__dict__["transitions"] = records
+
+    @classmethod
+    def _of_columns(cls, kind, states, alphabet, initial, final, columns, name, params):
+        """A document over ``columns``, lists that belong to it alone."""
+        doc = cls.__new__(cls)
+        doc._fill(kind, states, alphabet, initial, final, columns, name, params)
+        return doc
+
+    def _fill(self, kind, states, alphabet, initial, final, columns, name, params) -> None:
+        self.__dict__.update(kind=kind, states=tuple(states), alphabet=tuple(alphabet),
+                             initial=initial, final=tuple(final), _columns=columns, name=name,
+                             params=tuple(params))
+        if kind not in KINDS:
+            raise ValidationError(f"unknown document kind {kind!r}")
+
+    @functools.cached_property
+    def transitions(self) -> tuple[TransitionRecord, ...]:
+        """One record per transition, built on first read. The records take
+        the columns' values without the copies the public constructor makes."""
+        records = tuple(map(object.__new__, repeat(TransitionRecord, len(self._columns[0]))))
+        for field, values in zip(("source", "letter", "to"), self._columns):
+            deque(map(getattr(TransitionRecord, field).__set__, records, values), maxlen=0)
+        return records
+
+    def _compared(self) -> tuple:
+        """The fields, with the columns standing in for the records."""
+        return (self.kind, self.states, self.alphabet, self.initial, self.final, self._columns,
+                self.name, self.params)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self) -> int:
+        return hash(tuple(getattr(self, f) for f in _FIELDS))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in _FIELDS)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 # --- expression evaluation ---------------------------------------------------
@@ -241,12 +300,13 @@ def _record_walk(records_raw: list, kind: str) -> None:
             raise ParseError(f"{what}: 'to' must be a map or a list")
 
 
-def _records(records_raw: list, kind: str) -> list[TransitionRecord] | None:
-    """The transition records of freshly loaded JSON, or None if one is malformed.
+def _columns(records_raw: list, kind: str) -> tuple[list, list, list] | None:
+    """The "from", "letter" and "to" columns of freshly loaded records, or
+    None if one is malformed.
 
     The shapes are checked in bulk, by the set of types in each field. The
-    values belong to no one else, so the records take them without the public
-    constructor's copies; only target lists become tuples.
+    values belong to no one else, so the columns take them as they are; only
+    target lists become tuples, equal ones sharing one.
     """
     try:
         sources = [rec["from"] for rec in records_raw]
@@ -255,20 +315,22 @@ def _records(records_raw: list, kind: str) -> list[TransitionRecord] | None:
     except (KeyError, TypeError):  # a record without a key, or not an object
         return None
     to_types = set(map(type, tos))
+    if to_types == {dict}:
+        entries = chain.from_iterable(map(dict.values, tos))
+    elif to_types == {list}:
+        entries = chain.from_iterable(tos)
+    else:
+        entries = chain.from_iterable(to.values() if to.__class__ is dict else to for to in tos)
     if not (
         set(map(type, sources)) | set(map(type, letters)) <= {str}
         and to_types <= ({dict, list} if kind == "npa" else {dict})
-        and set(map(type, chain.from_iterable(
-            to.values() if to.__class__ is dict else to for to in tos))) <= {str}
+        and set(map(type, entries)) <= {str}
     ):
         return None
-    if list in to_types:  # equal target lists share one tuple
+    if list in to_types:
         shared: dict[tuple, tuple] = {}
         tos = [shared.setdefault(t := tuple(to), t) if to.__class__ is list else to for to in tos]
-    records = list(map(object.__new__, repeat(TransitionRecord, len(tos))))
-    for field, values in (("source", sources), ("letter", letters), ("to", tos)):
-        deque(map(getattr(TransitionRecord, field).__set__, records, values), maxlen=0)
-    return records
+    return sources, letters, tos
 
 
 def parse_document(text: str) -> AutomatonDocument:
@@ -295,10 +357,10 @@ def parse_document(text: str) -> AutomatonDocument:
     initial = _need(raw, "initial", str, "document")
     final = _str_list(raw, "final", "document")
     records_raw = _need(raw, "transitions", list, "document")
-    records = _records(records_raw, kind)
-    if records is None:
+    columns = _columns(records_raw, kind)
+    if columns is None:
         _record_walk(records_raw, kind)
-    return AutomatonDocument(kind, states, alphabet, initial, final, records, name, params)
+    return AutomatonDocument._of_columns(kind, states, alphabet, initial, final, columns, name, params)
 
 
 # --- document -> automaton ---------------------------------------------------
@@ -317,33 +379,140 @@ def document_to_automaton(
     document lists, so a target whose expression evaluates to zero raises
     InconsistentSupport.
     "pa"/"pba" documents always evaluate expressions (bindings optional).
-    """
-    state_set = set(doc.states)
-    for rec in doc.transitions:
-        if rec.source not in state_set:
-            raise ValidationError(f"transition from unknown state {rec.source!r}")
-        for t in rec.to:
-            if t not in state_set:
-                raise ValidationError(f"transition to unknown state {t!r}")
 
+    A document that lists every pair once is loaded from its columns: the
+    rows and split pairs are written straight into a TargetTable, and each
+    distinct expression is evaluated once. Other documents (an npa's records
+    for one pair are merged), and any "to" that is no distribution, take the
+    per-pair path, whose checks name the first offending record or pair.
+    """
+    sources, _letters, tos = doc._columns
+    state_set = set(doc.states)
+    if not state_set.issuperset(chain(sources, chain.from_iterable(tos))):
+        for source, to in zip(sources, tos):  # name the first record with an unknown state
+            if source not in state_set:
+                raise ValidationError(f"transition from unknown state {source!r}")
+            for t in to:
+                if t not in state_set:
+                    raise ValidationError(f"transition to unknown state {t!r}")
+
+    ordered = _pair_ordered(doc)
+    rows = None if ordered is None else _rows(doc, ordered, bindings)
     if doc.kind == "npa":
-        targets: dict[tuple[str, str], tuple[str, ...]] = {}
-        for rec in doc.transitions:
-            pair = (rec.source, rec.letter)
-            targets[pair] = targets.get(pair, ()) + tuple(rec.to)
         npa = NumberlessAutomaton.from_targets(
-            doc.states, doc.alphabet, doc.initial, targets, doc.final
+            doc.states, doc.alphabet, doc.initial, _merged(doc) if rows is None else rows[0], doc.final
         )
         if bindings is None:
             return npa
-
-    delta = bound_transitions(doc, bindings)
-    if doc.kind == "npa":
-        return instantiate(npa, delta)
+        return instantiate(npa, bound_transitions(doc, bindings)) if rows is None else _instance(npa, rows[1])
+    delta = bound_transitions(doc, bindings) if rows is None else _SkeletonDelta(*rows)
     pa = ProbAutomaton(doc.states, doc.alphabet, doc.initial, delta, frozenset(doc.final))
     if doc.kind == "pba":
         return BuchiAutomaton(pa, frozenset(doc.final))
     return pa
+
+
+def _in_pair_order(doc: AutomatonDocument) -> bool:
+    """True iff the records run through states x alphabet, one per pair, in
+    that order, over distinct states and letters. Every document the library
+    writes does."""
+    sources, letters, _ = doc._columns
+    states, alphabet = doc.states, doc.alphabet
+    return (len(set(states)) == len(states) and len(set(alphabet)) == len(alphabet)
+            and letters == list(alphabet) * len(states)
+            and sources == [s for s in states for _ in alphabet])
+
+
+def _positions(doc: AutomatonDocument) -> list[int]:
+    """Each record's place in states x alphabet order; KeyError names an
+    unknown source or letter."""
+    index = {s: i for i, s in enumerate(doc.states)}
+    letter_at = {a: j for j, a in enumerate(doc.alphabet)}
+    m = len(doc.alphabet)
+    sources, letters, _ = doc._columns
+    return [index[s] * m + letter_at[a] for s, a in zip(sources, letters)]
+
+
+def _pair_ordered(doc: AutomatonDocument) -> list | None:
+    """The "to" column in states x alphabet order, or None unless the records
+    name every pair exactly once."""
+    tos = doc._columns[2]
+    size = len(doc.states) * len(doc.alphabet)
+    if len(tos) != size:
+        return None
+    if _in_pair_order(doc):
+        return tos
+    try:
+        at = dict(zip(_positions(doc), tos))
+    except (KeyError, TypeError):  # an unknown or unhashable letter
+        return None
+    return list(map(at.__getitem__, range(size))) if len(at) == size else None
+
+
+def _rows(doc: AutomatonDocument, tos: list, bindings) -> tuple[TargetTable, dict] | None:
+    """The TargetTable of ``tos``, the "to" column in states x alphabet order
+    with every target known, and the distributions of its multi-target pairs
+    (empty for an npa without bindings).
+
+    Returns None, for the per-pair path to report or merge, on a "to" without
+    targets, a target list with bindings, an expression that fails, or a map
+    that is no distribution or, in an npa, gives a target zero mass. A
+    one-target map must evaluate to 1; only the other maps are read one by one.
+    """
+    states, alphabet = doc.states, doc.alphabet
+    index = {s: i for i, s in enumerate(states)}
+    sizes = list(map(len, tos))
+    # Where "to" does not have exactly one target: its targets in state order.
+    odd: dict[int, tuple[str, ...]] = dict.fromkeys(compress(range(len(tos)), map((1).__ne__, sizes)))
+    split: dict[int, Distribution] = {}
+    if doc.kind == "npa" and bindings is None:
+        for k in odd:
+            odd[k] = tuple(sorted(set(tos[k]), key=index.__getitem__))
+            if not odd[k]:
+                return None
+    else:
+        if not set(map(type, tos)) <= {dict}:
+            return None
+        singles = set(chain.from_iterable(map(dict.values, compress(tos, map((1).__eq__, sizes)))))
+        try:
+            value = {e: eval_expression(e, bindings)
+                     for e in singles.union(*(tos[k].values() for k in odd))}
+        except (AutomatonError, ArithmeticError, TypeError, ValueError):
+            return None
+        if any(value[e] != 1 for e in singles):  # a one-target map is a Dirac or no distribution
+            return None
+        shared: dict[tuple, Distribution] = {}  # by the map's items
+        for k in odd:
+            items = tuple(tos[k].items())
+            if items not in shared:
+                try:
+                    shared[items] = Distribution({t: value[e] for t, e in items})
+                except NotADistribution:
+                    return None
+            d = shared[items]
+            if doc.kind == "npa" and len(d) < len(items):
+                return None
+            odd[k] = tuple(sorted(d._entries, key=index.__getitem__))
+            if len(odd[k]) > 1:
+                split[k] = d
+    heads = list(tos)  # each pair's first target
+    m = len(alphabet)
+    for k, hits in odd.items():
+        heads[k] = hits[:1]
+    firsts = list(map(index.__getitem__, chain.from_iterable(heads)))
+    rows = {a: firsts[j::m] for j, a in enumerate(alphabet)}
+    multi = {(states[k // m], alphabet[k % m]): hits for k, hits in odd.items() if len(hits) > 1}
+    table = TargetTable(states, alphabet, rows, multi, int_rows=True)
+    return table, {(states[k // m], alphabet[k % m]): d for k, d in split.items()}
+
+
+def _merged(doc: AutomatonDocument) -> dict[tuple[str, str], tuple[str, ...]]:
+    """Each pair's targets, an npa's records for one pair merged in order."""
+    targets: dict[tuple[str, str], tuple[str, ...]] = {}
+    sources, letters, tos = doc._columns
+    for pair, to in zip(zip(sources, letters), tos):
+        targets[pair] = targets.get(pair, ()) + tuple(to)
+    return targets
 
 
 def bound_transitions(
@@ -354,21 +523,22 @@ def bound_transitions(
     Only the distributions are checked here; whether they fit the document's
     states and support is for the automaton built from them to say. Each
     distinct expression string is evaluated once, and records with the same
-    "to" map share one Distribution.
+    "to" map share one Distribution. The records are walked in order, so the
+    first offending one is named.
     """
     delta: dict[tuple[str, str], Distribution] = {}
     value = functools.cache(lambda text: eval_expression(text, bindings))
     shared: dict[tuple[tuple[str, str], ...], Distribution] = {}  # by "to" map
-    for rec in doc.transitions:
-        if not isinstance(rec.to, dict):
+    sources, letters, tos = doc._columns
+    for pair, to in zip(zip(sources, letters), tos):
+        if not isinstance(to, dict):
             raise ValidationError(
-                f"({rec.source!r}, {rec.letter!r}) lists support only; it cannot "
+                f"({pair[0]!r}, {pair[1]!r}) lists support only; it cannot "
                 "be instantiated with parameter bindings"
             )
-        pair = (rec.source, rec.letter)
         if pair in delta:
             raise ValidationError(f"duplicate transition record for {pair!r}")
-        key = tuple(rec.to.items())
+        key = tuple(to.items())
         if key not in shared:
             shared[key] = Distribution({t: value(expr) for t, expr in key})
         delta[pair] = shared[key]
@@ -446,36 +616,67 @@ def _write(kind, name, params, states, alphabet, initial, final, records) -> str
     return "".join(pieces)
 
 
-def serialize_document(doc: AutomatonDocument) -> str:
-    """Canonical rendering: fixed key order, sorted transitions, 2-space
-    indent, trailing newline."""
-    order = {s: i for i, s in enumerate(doc.states)}
-    letter_order = {c: i for i, c in enumerate(doc.alphabet)}
-    try:
-        ranked = sorted(doc.transitions, key=lambda r: (order[r.source], letter_order[r.letter]))
-    except KeyError:  # name the first record with an unknown source or letter
-        rec = next(r for r in doc.transitions if r.source not in order or r.letter not in letter_order)
-        if rec.source not in order:
-            raise ValidationError(f"transition from unknown state {rec.source!r}") from None
-        raise ValidationError(f"transition on unknown letter {rec.letter!r}") from None
+# Takes the place of a "to" that is rendered on its own, so that the one-entry
+# maps around it stay aligned in bulk; a real map {"": ""} has the same text.
+_STAND_IN = {"": ""}
 
-    def rank(t: str) -> int:  # targets not among the states sort last
-        return order.get(t, len(order))
 
-    sources = {s: _FROM + _quote(s) for s in doc.states}
-    letters = {c: _letter_piece(c) for c in doc.alphabet}
-    # One rendering per distinct "to"; maps and lists are cached apart, since
-    # an empty map's items equal an empty list.
+def _to_texts(tos: list, rank) -> list[str]:
+    """Each "to" value's text followed by _NEXT; each distinct value is
+    rendered once. Target tuples are keyed by themselves, and one-entry maps,
+    nearly every map of a compiled document, in bulk by (target, expression)."""
+    types = set(map(type, tos))
+    if types == {tuple}:
+        lists = {to: _to_value(to, rank) + _NEXT for to in set(tos)}
+        return list(map(lists.__getitem__, tos))
+    # Every other value is rendered on its own (odd), a _STAND_IN in its place.
+    if types == {dict}:
+        odd = list(compress(range(len(tos)), map((1).__ne__, map(len, tos))))
+    else:
+        odd = [k for k, to in enumerate(tos) if to.__class__ is not dict or len(to) != 1]
+    heads = list(tos)
+    for k in odd:
+        heads[k] = _STAND_IN
+    keys = list(zip(chain.from_iterable(heads), chain.from_iterable(map(dict.values, heads))))
+    singles = {key: _to_value(dict((key,)), rank) + _NEXT for key in set(keys)}
+    texts = list(map(singles.__getitem__, keys))
+    # Maps and lists are cached apart, since an empty map's items equal an empty list.
     maps: dict[tuple, str] = {}
-    lists: dict[tuple, str] = {}
-    records = []
-    for rec in ranked:
-        to = rec.to
+    lists = {}
+    for k in odd:
+        to = tos[k]
         cache, key = (lists, to) if isinstance(to, tuple) else (maps, tuple(to.items()))
         text = cache.get(key)
         if text is None:
             text = cache[key] = _to_value(to, rank) + _NEXT
-        records += (sources[rec.source], letters[rec.letter], text)
+        texts[k] = text
+    return texts
+
+
+def serialize_document(doc: AutomatonDocument) -> str:
+    """Canonical rendering: fixed key order, sorted transitions, 2-space
+    indent, trailing newline."""
+    sources, letters, tos = doc._columns
+    if not _in_pair_order(doc):
+        try:
+            at = _positions(doc)
+        except KeyError:  # name the first record with an unknown source or letter
+            known, letters_known = set(doc.states), set(doc.alphabet)
+            s, a = next((s, a) for s, a in zip(sources, letters) if s not in known or a not in letters_known)
+            if s not in known:
+                raise ValidationError(f"transition from unknown state {s!r}") from None
+            raise ValidationError(f"transition on unknown letter {a!r}") from None
+        ranked = sorted(range(len(at)), key=at.__getitem__)
+        sources, letters, tos = ([column[k] for k in ranked] for column in doc._columns)
+    order = {s: i for i, s in enumerate(doc.states)}
+
+    def rank(t: str) -> int:  # targets not among the states sort last
+        return order.get(t, len(order))
+
+    froms = {s: _FROM + _quote(s) for s in doc.states}
+    pieces = {c: _letter_piece(c) for c in doc.alphabet}
+    records = chain.from_iterable(zip(map(froms.__getitem__, sources), map(pieces.__getitem__, letters),
+                                      _to_texts(tos, rank)))
     return _write(doc.kind, doc.name, doc.params, doc.states, doc.alphabet,
                   doc.initial, sorted(doc.final, key=rank), records)
 
@@ -493,6 +694,8 @@ def serialize_automaton(obj: Automaton, name: str | None = None) -> str:
         raise ValidationError(f"cannot serialize object of type {type(obj).__name__}")
     table, split = _table_and_split(pa)
     index, rows = table.index, table.rows
+    if kind != "npa":
+        _check_lengths(split, index, pa.alphabet)
     quoted = [_quote(s) for s in pa.states]
     # Each target state's "to": a one-target list, or a Dirac.
     head, tail = ("[", "\n      ]") if kind == "npa" else ("{", ': "1"\n      }')
@@ -506,3 +709,23 @@ def serialize_automaton(obj: Automaton, name: str | None = None) -> str:
         records += chain.from_iterable(zip(repeat(_FROM + q), letters, tos))
     return _write(kind, name, (), pa.states, pa.alphabet, pa.initial,
                   sorted(final, key=index.__getitem__), records)
+
+
+# A document's integer literals have at most MAX_EXPONENT digits, the bound
+# the expression parser reads, and Python renders no longer int by default.
+_TOO_LONG = 10**MAX_EXPONENT
+
+
+def _check_lengths(split: Mapping, index, alphabet) -> None:
+    """Raise ValidationError naming the first split pair, in states x alphabet
+    order, with a probability of more than MAX_EXPONENT digits. Each distinct
+    value is checked once; as 0 < p <= 1, its denominator is its longest part."""
+    values = {p for d in {id(d): d for d in split.values()}.values() for p in d._entries.values()}
+    if all(p.denominator < _TOO_LONG for p in values):
+        return
+    letter_at = {a: j for j, a in enumerate(alphabet)}
+    for s, a in sorted(split, key=lambda pair: (index[pair[0]], letter_at[pair[1]])):
+        if any(p.denominator >= _TOO_LONG for p in split[(s, a)]._entries.values()):
+            raise ValidationError(
+                f"cannot write ({s!r}, {a!r}): a probability has more than {MAX_EXPONENT} digits"
+            )

@@ -413,6 +413,19 @@ class TestErrors:
         assert code == 2
         assert "exponent" in err
 
+    def test_instance_probability_past_the_digit_bound(self, capsys, tmp_path):
+        # lam and theta each fit the 4300-digit bound; the coin's lam * theta does not.
+        source = tmp_path / "source.json"
+        source.write_text(serialize_automaton(random_simple_pa(0, 2, 1)))
+        value = "1/" + "7" * 3000
+        code, out, err = run(
+            capsys, "simulate-instantiate", "--automaton", str(source),
+            "--lambda", value, "--theta", value, "--out", str(tmp_path / "instance.json"),
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: cannot write ('coin', '$'): a probability has more than 4300 digits\n"
+        assert not (tmp_path / "instance.json").exists()
+
     def test_sweep_grid_beyond_the_point_bound(self, capsys, seesaw_doc):
         code, out, err = run(
             capsys, "sweep", "--automaton", seesaw_doc,

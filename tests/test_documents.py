@@ -1,7 +1,14 @@
+import copy
+import functools
 import hashlib
+import io
 import json
+import random
+from contextlib import redirect_stdout
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 from importlib import resources
+from pathlib import Path
 from types import MappingProxyType
 
 import pytest
@@ -11,6 +18,7 @@ from hypothesis import strategies as st
 import pfakit.documents
 from pfakit import (
     AutomatonDocument,
+    AutomatonError,
     BuchiAutomaton,
     Distribution,
     TransitionRecord,
@@ -27,6 +35,7 @@ from pfakit import (
     dirac,
     eval_expression,
     fair_coin,
+    instantiate,
     instantiate_simulation,
     parse_automaton,
     parse_document,
@@ -36,7 +45,8 @@ from pfakit import (
     serialize_automaton,
     serialize_document,
 )
-from pfakit.documents import bound_transitions
+from pfakit.cli import main
+from pfakit.documents import _FROM, _NEXT, _letter_piece, _quote, _to_value, _write, bound_transitions
 
 
 def seesaw_text() -> str:
@@ -262,26 +272,30 @@ class TestRecordErrors:
         assert [rec.to for rec in doc.transitions] == [{"q": "1"}, ("q",)]
 
 
+# Records placed between two good ones, and the message naming the first offender.
+UNKNOWN_STATE_CASES = [
+    ([TransitionRecord("g1", "a", ["p"]), TransitionRecord("g2", "a", ["p"])],
+     "transition from unknown state 'g1'"),
+    ([TransitionRecord("p", "a", ["q", "g1"]), TransitionRecord("g2", "a", ["p"])],
+     "transition to unknown state 'g1'"),
+    ([TransitionRecord("p", "a", {"g1": "1"}), TransitionRecord("p", "a", ["g2"])],
+     "transition to unknown state 'g1'"),
+    ([TransitionRecord("g1", "a", ["g2"])], "transition from unknown state 'g1'"),
+    ([TransitionRecord("q", "a", ["g1", "g2"])], "transition to unknown state 'g1'"),
+]
+
+
 class TestUnknownStates:
     """document_to_automaton names the first record with an unknown state."""
 
-    def document(self, *records):
+    @staticmethod
+    def document(*records):
         return AutomatonDocument("npa", ("p", "q"), ("a",), "p", (), [
             TransitionRecord("p", "a", ["q"]), *records, TransitionRecord("q", "a", {"p": "1"})
         ])
 
     @pytest.mark.parametrize(
-        "records,message",
-        [
-            ([TransitionRecord("g1", "a", ["p"]), TransitionRecord("g2", "a", ["p"])],
-             "transition from unknown state 'g1'"),
-            ([TransitionRecord("p", "a", ["q", "g1"]), TransitionRecord("g2", "a", ["p"])],
-             "transition to unknown state 'g1'"),
-            ([TransitionRecord("p", "a", {"g1": "1"}), TransitionRecord("p", "a", ["g2"])],
-             "transition to unknown state 'g1'"),
-            ([TransitionRecord("g1", "a", ["g2"])], "transition from unknown state 'g1'"),
-            ([TransitionRecord("q", "a", ["g1", "g2"])], "transition to unknown state 'g1'"),
-        ],
+        "records,message", UNKNOWN_STATE_CASES,
         ids=["sources", "target-first", "map-target", "source-before-target", "first-target"],
     )
     def test_first_offender(self, records, message):
@@ -569,6 +583,20 @@ class TestWriter:
         with pytest.raises(ValidationError, match=message):
             serialize_document(doc)
 
+    def test_probabilities_past_the_digit_bound_are_refused(self):
+        def pa(den):
+            split = Distribution({"p": F(1, den), "q": 1 - F(1, den)})
+            delta = {("p", "a"): dirac("p"), ("p", "b"): split, ("q", "a"): split, ("q", "b"): dirac("q")}
+            return ProbAutomaton(("q", "p"), ("a", "b"), "p", delta, {"q"})
+
+        fits = pa(10**4300 - 1)  # 4300 digits: written, and read back
+        assert parse_automaton(serialize_automaton(fits)) == fits
+        for obj in (pa(10**4300), buchi_reduction(pa(10**4300))):
+            with pytest.raises(ValidationError) as exc:
+                serialize_automaton(obj)
+            # The first split pair in states x alphabet order, of the distinct values checked once.
+            assert str(exc.value) == "cannot write ('q', 'a'): a probability has more than 4300 digits"
+
     # sha256 of serialize_automaton output, recorded with the json.dumps renderer.
     PINNED = {
         0: ("697c469825b706832d5e0311102e4a31653be535395faebc2189b82ff63c8db8",
@@ -625,6 +653,16 @@ class TestLoader:
         assert len({id(d) for d in delta.values()}) == len(maps) < len(delta)
         assert delta[("C1", "a")] is delta[("C1", "f")]
 
+    def test_sum_past_the_digit_limit_is_reported(self):
+        doc = json.loads(seesaw_text())
+        tiny = "1/" + "7" * 3000 + "*1/" + "7" * 3000
+        doc["transitions"][0]["to"] = {"L1": tiny, "R1": "1/2"}
+        for kind in ("npa", "pa"):
+            doc["kind"] = kind
+            with pytest.raises(ValidationError) as exc:
+                document_to_automaton(parse_document(json.dumps(doc)), {"x": F(1, 2), "y": F(1, 2)})
+            assert str(exc.value) == "entries sum to a fraction too long to print, expected 1"
+
     def test_first_bad_record_is_reported(self):
         doc = json.loads(seesaw_text())
         doc["transitions"][2]["to"] = {"C1": "1/0"}
@@ -632,3 +670,447 @@ class TestLoader:
         doc["transitions"][4]["to"] = {"C2": "q"}
         with pytest.raises(ValidationError, match=r"'1/0' at offset 3: division by zero"):
             bound_transitions(parse_document(json.dumps(doc)), {"x": F(1, 2), "y": F(1, 2)})
+
+
+# --- the column paths against the record paths they replaced --------------------
+
+
+def reference_document_to_automaton(doc, bindings=None):
+    """document_to_automaton as it was before documents kept columns: it walks
+    the records, merges them into per-pair tables and lets the constructors
+    compile those. Kept here as the reference of the column path."""
+    state_set = set(doc.states)
+    for rec in doc.transitions:
+        if rec.source not in state_set:
+            raise ValidationError(f"transition from unknown state {rec.source!r}")
+        for t in rec.to:
+            if t not in state_set:
+                raise ValidationError(f"transition to unknown state {t!r}")
+
+    if doc.kind == "npa":
+        targets = {}
+        for rec in doc.transitions:
+            pair = (rec.source, rec.letter)
+            targets[pair] = targets.get(pair, ()) + tuple(rec.to)
+        npa = NumberlessAutomaton.from_targets(doc.states, doc.alphabet, doc.initial, targets, doc.final)
+        if bindings is None:
+            return npa
+
+    delta = reference_bound_transitions(doc, bindings)
+    if doc.kind == "npa":
+        return instantiate(npa, delta)
+    pa = ProbAutomaton(doc.states, doc.alphabet, doc.initial, delta, frozenset(doc.final))
+    if doc.kind == "pba":
+        return BuchiAutomaton(pa, frozenset(doc.final))
+    return pa
+
+
+def reference_bound_transitions(doc, bindings=None):
+    """bound_transitions as it was, over the records."""
+    delta = {}
+    value = functools.cache(lambda text: eval_expression(text, bindings))
+    shared = {}
+    for rec in doc.transitions:
+        if not isinstance(rec.to, dict):
+            raise ValidationError(
+                f"({rec.source!r}, {rec.letter!r}) lists support only; it cannot "
+                "be instantiated with parameter bindings"
+            )
+        pair = (rec.source, rec.letter)
+        if pair in delta:
+            raise ValidationError(f"duplicate transition record for {pair!r}")
+        key = tuple(rec.to.items())
+        if key not in shared:
+            shared[key] = Distribution({t: value(expr) for t, expr in key})
+        delta[pair] = shared[key]
+    return delta
+
+
+def reference_serialize_records(doc):
+    """serialize_document as it was: the records sorted with a key function,
+    each distinct "to" rendered once by its items."""
+    order = {s: i for i, s in enumerate(doc.states)}
+    letter_order = {c: i for i, c in enumerate(doc.alphabet)}
+    try:
+        ranked = sorted(doc.transitions, key=lambda r: (order[r.source], letter_order[r.letter]))
+    except KeyError:
+        rec = next(r for r in doc.transitions if r.source not in order or r.letter not in letter_order)
+        if rec.source not in order:
+            raise ValidationError(f"transition from unknown state {rec.source!r}") from None
+        raise ValidationError(f"transition on unknown letter {rec.letter!r}") from None
+
+    def rank(t):
+        return order.get(t, len(order))
+
+    sources = {s: _FROM + _quote(s) for s in doc.states}
+    letters = {c: _letter_piece(c) for c in doc.alphabet}
+    maps, lists, records = {}, {}, []
+    for rec in ranked:
+        to = rec.to
+        cache, key = (lists, to) if isinstance(to, tuple) else (maps, tuple(to.items()))
+        text = cache.get(key)
+        if text is None:
+            text = cache[key] = _to_value(to, rank) + _NEXT
+        records += (sources[rec.source], letters[rec.letter], text)
+    return _write(doc.kind, doc.name, doc.params, doc.states, doc.alphabet,
+                  doc.initial, sorted(doc.final, key=rank), records)
+
+
+def outcome(f, *args):
+    """("ok", f(*args)), or the type and text of the exception it raised."""
+    try:
+        return "ok", f(*args)
+    except Exception as exc:  # any exception is compared, not only AutomatonError
+        return type(exc), str(exc)
+
+
+def assert_matches_records(doc, bindings=None):
+    """The column paths give what the record paths give on ``doc``: equal
+    automata and texts, or exceptions of equal types and messages."""
+    pairs = (
+        (functools.partial(document_to_automaton, doc, bindings),
+         functools.partial(reference_document_to_automaton, doc, bindings)),
+        (functools.partial(bound_transitions, doc, bindings),
+         functools.partial(reference_bound_transitions, doc, bindings)),
+        (functools.partial(serialize_document, doc), functools.partial(reference_serialize_records, doc)),
+    )
+    for new, old in pairs:
+        got, want = outcome(new), outcome(old)
+        assert got == want
+        assert type(got[1]) is type(want[1])
+        if isinstance(got[1], (ProbAutomaton, BuchiAutomaton)):  # equal automata may order their rows apart
+            new_table, old_table = (getattr(obj, "automaton", obj).delta.table for obj in (got[1], want[1]))
+            assert list(new_table.items()) == list(old_table.items())
+
+
+BINDINGS = (None, {}, {"x": F(1, 3), "y": F(1, 2)})
+
+
+def json_columns(text):
+    """The "from", "letter" and "to" of each record of ``text``, read with json alone."""
+    return zip(*((r["from"], r["letter"], r["to"]) for r in json.loads(text)["transitions"]))
+
+
+def reordered(text, seed=0):
+    """``text``'s document, then with its records reversed, shuffled, and
+    built by the public constructor."""
+    doc = parse_document(text)
+    raw = json.loads(text)
+    records = raw["transitions"]
+    shuffled = random.Random(seed).sample(records, len(records))
+    out = [doc]
+    for order in (records[::-1], shuffled):
+        out.append(parse_document(json.dumps({**raw, "transitions": order})))
+    out.append(AutomatonDocument(doc.kind, doc.states, doc.alphabet, doc.initial, doc.final,
+                                 [TransitionRecord(*rec) for rec in zip(*json_columns(text))], doc.name,
+                                 doc.params))
+    return out
+
+
+def written_texts():
+    """Documents the tests write: the seesaw, and the writers' output on the
+    compiled automata of small sources."""
+    a = random_simple_pa(0, 2, 1)
+    sim = build_simulation(a)
+    objs = (seesaw_pa(F(3, 4), F(1, 4)), sim.npa, instantiate_simulation(sim, F(1, 3), F(1, 2)),
+            fair_coin(a, F(1, 3)).automaton, buchi_reduction(a), build_simulation(random_simple_pa(2, 1, 2)).npa)
+    return [seesaw_text()] + [serialize_automaton(obj, name="written") for obj in objs]
+
+
+@pytest.fixture(scope="module")
+def bench_texts(tmp_path_factory):
+    """The documents the benchmark's cli set-up writes, at seed 0: the
+    seesaw, small sources, restart automata, a chain and a (2, 2) simulation
+    with its instance."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    workdir = tmp_path_factory.mktemp("bench")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(bench))
+        import workloads
+
+        workloads.cli(0, workdir)
+    return [path.read_text(encoding="utf-8") for path in sorted(workdir.glob("*.json"))]
+
+
+def small(kind, records, states=("p", "q"), alphabet=("a", "b")):
+    """A document over ``states`` and ``alphabet`` with the given (from, letter, to) records."""
+    return AutomatonDocument(kind, states, alphabet, (states or ("p",))[0], states[-1:],
+                             [TransitionRecord(*rec) for rec in records], params=("x",))
+
+
+FULL = [("p", "a", ["q"]), ("p", "b", ["p"]), ("q", "a", ["p", "q"]), ("q", "b", ["q"])]
+MAPS = [("p", "a", {"q": "1"}), ("p", "b", {"p": "1"}), ("q", "a", {"p": "x", "q": "1-x"}),
+        ("q", "b", {"q": "1"})]
+
+
+class TestColumnsAgainstRecords:
+    def test_written_documents(self):
+        for text in written_texts():
+            for doc in reordered(text):
+                for bindings in BINDINGS:
+                    assert_matches_records(doc, bindings)
+
+    def test_bench_documents(self, bench_texts):
+        assert len(bench_texts) == 13
+        for text in bench_texts:
+            for doc in reordered(text):
+                for bindings in BINDINGS[::2]:
+                    assert_matches_records(doc, bindings)
+
+    @pytest.mark.parametrize("records", [
+        FULL, MAPS, FULL[::-1], MAPS[::-1],
+        FULL + [("p", "a", ["p"])],  # an npa's second record for a pair
+        [("p", "a", ["q"]), ("p", "a", {"p": "1"})] + FULL[1:],
+        FULL[1:], MAPS[:3],  # missing pairs
+        [("g", "a", ["q"])] + FULL[1:], [("p", "a", ["g"])] + FULL[1:],
+        [("p", "a", {"g": "1"})] + MAPS[1:], [("p", "z", ["q"])] + FULL[1:],
+        [("p", "z", {"q": "1"})] + MAPS[1:],
+        MAPS[:2] + FULL[2:],  # list and map "to" mixed
+        [("p", "a", [])] + FULL[1:], [("p", "a", {})] + MAPS[1:],
+        [("p", "a", ["q", "q"])] + FULL[1:], [("p", "a", ["q", "p", "q"])] + FULL[1:],
+        [("p", "a", {"p": "0", "q": "1"})] + MAPS[1:],  # a zero mass
+        [("p", "a", {"q": "1/2"})] + MAPS[1:], [("p", "a", {"q": "x"})] + MAPS[1:],
+        [("p", "a", {"q": "2/2"})] + MAPS[1:], [("p", "a", {"q": "1/0"})] + MAPS[1:],
+        MAPS[:2] + [("q", "a", {"q": "1-x", "p": "x"}), MAPS[3]],  # the map's items in reverse
+        MAPS[:2] + [("q", "a", {"p": "1/2", "q": "1/3"}), MAPS[3]],
+        [("p", "a", {"q": "y"})] + MAPS[1:],
+        MAPS + [("p", "a", {"q": "1"})],
+    ])
+    @pytest.mark.parametrize("kind", ["npa", "pa", "pba"])
+    def test_irregular_records(self, kind, records):
+        for bindings in BINDINGS:
+            assert_matches_records(small(kind, records), bindings)
+            assert_matches_records(small(kind, records[::-1]), bindings)
+
+    @pytest.mark.parametrize("states,alphabet,records", [
+        (("p", "p"), ("a",), [("p", "a", ["p"]), ("p", "a", ["p"])]),
+        (("p", "q", "p"), ("a",), [("p", "a", ["p"]), ("q", "a", ["p"]), ("p", "a", ["q"])]),
+        (("p",), ("a", "a"), [("p", "a", ["p"]), ("p", "a", ["p"])]),
+        (("p",), ("a", "b", "a"), [("p", "a", ["p"]), ("p", "b", ["p"]), ("p", "a", ["p"])]),
+        (("p",), (), []), ((), ("a",), []), (("p",), ("a",), []),
+        (("p", "q"), ("a", "b", "a", "a"), [("q", "b", ["p"]), ("p", "a", ["p"])]),
+        (("",), ("a",), [("", "a", [""])]), (("p",), ("",), [("p", "", {"p": "1"})]),
+        # State order against string order, in target lists and in split maps.
+        (("q", "p"), ("a",), [("q", "a", ["p", "q"]), ("p", "a", ["p", "q", "p"])]),
+        (("q", "p"), ("a",), [("q", "a", {"p": "x", "q": "1-x"}), ("p", "a", {"q": "1/2", "p": "1/2"})]),
+    ], ids=["dup-states", "dup-states-spread", "dup-letters", "dup-letters-spread", "no-letters",
+            "no-states", "no-records", "dup-letters-far-apart", "empty-state-id", "empty-letter",
+            "reversed-lists", "reversed-maps"])
+    def test_irregular_ids(self, states, alphabet, records):
+        for kind in ("npa", "pa", "pba"):
+            for bindings in BINDINGS:
+                assert_matches_records(small(kind, records, states, alphabet), bindings)
+
+    def test_record_error_corpus(self):
+        for records, _message in UNKNOWN_STATE_CASES:
+            for bindings in BINDINGS:
+                assert_matches_records(TestUnknownStates.document(*records), bindings)
+        bad = json.loads(seesaw_text())
+        bad["transitions"][2]["to"] = {"C1": "1/0"}
+        bad["transitions"][4]["to"] = {"C2": "q"}
+        for text in (json.dumps(bad), seesaw_text().replace('"1/2"', '"1/3"', 1),
+                     seesaw_text().replace('"C1"', '"ghost"', 2)):
+            for bindings in BINDINGS:
+                assert_matches_records(parse_document(text), bindings)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_documents(self, data):
+        draw = data.draw
+        kind = draw(st.sampled_from(("npa", "pa", "pba")))
+        states = draw(st.lists(st.sampled_from("pqrs"), min_size=1, max_size=3, unique=True))
+        alphabet = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=2, unique=True))
+        targets = st.sampled_from(states + ["ghost"] * draw(st.integers(0, 1)))
+        exprs = st.sampled_from(["1", "1", "1/2", "0", "x", "1-x", "2/2", "1/0", "y"])
+        records = []
+        for s in states:
+            for a in alphabet:
+                for _ in range(draw(st.sampled_from((1, 1, 1, 1, 0, 2)))):
+                    hits = draw(st.lists(targets, max_size=3))
+                    if kind == "npa" and draw(st.booleans()):
+                        to = hits
+                    elif len(set(hits)) == 2 and draw(st.booleans()):
+                        to = dict(zip(sorted(set(hits)), draw(st.sampled_from((("1/2", "1/2"), ("x", "1-x"))))))
+                    else:
+                        to = {t: draw(exprs) if len(set(hits)) != 1 else "1" for t in hits}
+                    letter = draw(st.sampled_from(alphabet + ["z"] * draw(st.integers(0, 1))))
+                    records.append((s, letter, to))
+        records = draw(st.permutations(records)) if draw(st.booleans()) else records
+        bindings = draw(st.sampled_from((None, {"x": F(1, 3)}, {"x": F(0)})))
+        doc = small(kind, records, tuple(states), tuple(alphabet))
+        assert_matches_records(doc, bindings)
+        if kind == "npa" or all(isinstance(to, dict) for _, _, to in records):  # what parse_document reads
+            assert_matches_records(parse_document(json.dumps({
+                "kind": kind, "states": states, "alphabet": alphabet, "initial": states[0],
+                "final": states[-1:], "params": ["x"],
+                "transitions": [{"from": s, "letter": a, "to": to} for s, a, to in records]})), bindings)
+
+
+class TestColumns:
+    """What parse_document keeps: columns, and records only when they are read."""
+
+    @staticmethod
+    def simulation():
+        sim = build_simulation(random_simple_pa(0, 2, 1))
+        return sim.npa, instantiate_simulation(sim, F(1, 3), F(1, 2))
+
+    def test_loading_and_writing_build_no_records(self, monkeypatch, tmp_path):
+        for obj in self.simulation():
+            text = serialize_automaton(obj)
+            doc = parse_document(text)
+            assert document_to_automaton(doc) == obj
+            assert serialize_document(doc) == text
+            assert doc == parse_document(text)
+            assert "transitions" not in vars(doc)
+
+        def no_records(doc):
+            raise AssertionError("a document built its records")
+
+        monkeypatch.setattr(AutomatonDocument, "transitions", property(no_records))
+        for obj in self.simulation():
+            text = serialize_automaton(obj)
+            assert parse_automaton(text) == obj
+            path = tmp_path / "doc.json"
+            path.write_text(text)
+            with redirect_stdout(io.StringIO()) as out:
+                assert main(["export-dot", "--automaton", str(path)]) == 0
+            assert out.getvalue().startswith("digraph")
+
+    def test_records_on_first_read(self):
+        npa, instance = self.simulation()
+        doc = parse_document(serialize_automaton(npa))
+        records = doc.transitions
+        assert records is doc.transitions and vars(doc)["transitions"] is records
+        assert records == reference_document(npa).transitions
+        assert all(type(r) is TransitionRecord and type(r.to) is tuple for r in records)
+        by_value = {}
+        assert all(by_value.setdefault(r.to, r.to) is r.to for r in records)  # equal lists share one tuple
+        assert len(by_value) < len(records)
+        doc = parse_document(serialize_automaton(instance))
+        assert all(type(r.to) is dict for r in doc.transitions)
+        assert doc.transitions == reference_document(instance).transitions
+
+    def test_parsed_equals_constructed(self):
+        for obj in self.simulation():
+            text = serialize_automaton(obj, name="simulation")
+            parsed = parse_document(text)
+            records = [TransitionRecord(*rec) for rec in zip(*json_columns(text))]
+            built = AutomatonDocument(parsed.kind, list(parsed.states), list(parsed.alphabet), parsed.initial,
+                                      list(parsed.final), records, "simulation")
+            assert parsed == built and built == parsed
+            assert "transitions" not in vars(parsed)
+            assert repr(parsed) == repr(built)
+            assert repr(parsed).startswith("AutomatonDocument(kind=")
+            assert parsed != parse_document(text.replace('"simulation"', '"other"'))
+            assert parsed != parse_document(serialize_automaton(obj))  # unnamed
+        npa_doc = parse_document(serialize_automaton(self.simulation()[0]))
+        assert hash(npa_doc) == hash(AutomatonDocument(npa_doc.kind, npa_doc.states, npa_doc.alphabet,
+                                                       npa_doc.initial, npa_doc.final, npa_doc.transitions))
+        with pytest.raises(FrozenInstanceError):
+            npa_doc.kind = "pa"
+        with pytest.raises(FrozenInstanceError):
+            del npa_doc.states
+
+
+# --- a document fuzzer ----------------------------------------------------------
+
+HUGE = "<huge>"  # stands for a 5000-digit JSON number, spliced into the text
+JSON_VALUES = (None, True, 0, -1, 1.5, 10**400, float("inf"), "", "q", "C1", "1/2", "x", [], ["C1"],
+               ["C1", 3], {}, {"C1": "1"}, {"C1": 1}, [[]], HUGE)
+LONG_EXPRESSIONS = (
+    "1" * 4300 + "/" + "1" * 4300, "1" * 4301, "1/" + "3" * 4300, "1/" + "7" * 3000 + "*1/" + "7" * 3000,
+    "(" * 100 + "1" + ")" * 100, "(" * 101 + "1" + ")" * 101, "-" * 101 + "1", "x" * 5000, "1e5",
+    "10000000000000000000000000/10000000000000000000000000", "1-" * 2000 + "1",
+)
+
+
+def _some(draw, raw, where):
+    """The top-level object, a record, or a record's "to", as the draw picks."""
+    if where == "top":
+        return raw
+    records = raw.get("transitions")
+    if not isinstance(records, list) or not records:
+        return None
+    record = records[draw(st.integers(0, len(records) - 1))]
+    return record.get("to") if where == "to" and isinstance(record, dict) else record
+
+
+def _entry(draw, holder):
+    """A key of a non-empty dict or an index of a non-empty list, or None."""
+    if isinstance(holder, dict) and holder:
+        return draw(st.sampled_from(sorted(holder)))
+    if isinstance(holder, list) and holder:
+        return draw(st.integers(0, len(holder) - 1))
+    return None
+
+
+def drop_key(draw, raw):
+    holder = _some(draw, raw, draw(st.sampled_from(("top", "record", "to"))))
+    if (key := _entry(draw, holder)) is not None:
+        del holder[key]
+
+
+def swap_type(draw, raw):
+    holder = _some(draw, raw, draw(st.sampled_from(("top", "record", "to"))))
+    if (key := _entry(draw, holder)) is not None:
+        holder[key] = copy.deepcopy(draw(st.sampled_from(JSON_VALUES)))  # later mutations may change it
+
+
+def reorder(draw, raw):
+    records = raw.get("transitions")
+    if isinstance(records, list):
+        random.Random(draw(st.integers(0, 2**32))).shuffle(records)
+
+
+def duplicate(draw, raw):
+    records = raw.get("transitions")
+    if isinstance(records, list) and records:
+        copied = copy.deepcopy(records[draw(st.integers(0, len(records) - 1))])
+        records.insert(draw(st.integers(0, len(records))), copied)
+
+
+def inflate(draw, raw):
+    to = _some(draw, raw, "to")
+    if isinstance(to, dict) and to:
+        to[draw(st.sampled_from(sorted(to)))] = draw(st.sampled_from(LONG_EXPRESSIONS))
+
+
+MUTATORS = (drop_key, swap_type, reorder, duplicate, inflate)
+
+
+def assert_loads_canonically_or_fails(text, bindings):
+    """Loading ``text`` either gives an automaton whose document reads back
+    canonically, as the same automaton, or raises an AutomatonError; and so
+    does writing the parsed document."""
+    try:
+        doc = parse_document(text)
+    except AutomatonError:
+        return
+    try:
+        obj = document_to_automaton(doc, bindings)
+        again = serialize_automaton(obj)
+    except AutomatonError:
+        pass
+    else:
+        assert serialize_document(parse_document(again)) == again
+        assert document_to_automaton(parse_document(again)) == obj
+    try:
+        out = serialize_document(doc)
+    except AutomatonError:
+        pass
+    else:
+        assert serialize_document(parse_document(out)) == out
+
+
+class TestDocumentFuzz:
+    BASES = (seesaw_text(), serialize_automaton(build_simulation(random_simple_pa(0, 2, 1)).npa))
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_mutated_documents_load_or_fail_cleanly(self, data):
+        draw = data.draw
+        raw = json.loads(self.BASES[draw(st.integers(0, 1))])
+        for mutate in draw(st.lists(st.sampled_from(MUTATORS), min_size=1, max_size=3)):
+            mutate(draw, raw)
+        text = json.dumps(raw).replace(json.dumps(HUGE), "9" * 5000)
+        assert_loads_canonically_or_fails(text, draw(st.sampled_from((None, {"x": F(1, 3), "y": F(1, 2)}))))
