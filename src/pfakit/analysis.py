@@ -34,6 +34,7 @@ from .core import (
     _advance,
     _instance,
     _kernel,
+    _show,
     _start,
     accept_steps,
     instantiate,
@@ -392,7 +393,7 @@ def noisy_sweep(
     """
     eps = Fraction(eps)
     if eps < 0:
-        raise DomainError(f"eps must be >= 0, got {eps}")
+        raise DomainError(f"eps must be >= 0, got {_show(eps)}")
     if grid < 1:
         raise DomainError(f"grid must be >= 1, got {grid}")
     if budget is None:

@@ -23,6 +23,7 @@ from typing import Sequence
 from .core import (
     NumberlessAutomaton,
     ProbAutomaton,
+    _exact,
     accept_prob,
     monte_carlo_accept,
     parse_rational,
@@ -74,18 +75,6 @@ def _word(text: str) -> list[str]:
 
 def _word_out(word: Sequence[str]) -> str:
     return " ".join(word) if word else "(empty)"
-
-
-def _exact(value: Fraction) -> str:
-    """``str(value)`` at any size. Exact values outgrow Python's int-to-str
-    digit limit; it is lifted only while rendering, so flags and documents are
-    still parsed under it."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(value)
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def _fmt(value: Fraction) -> str:
@@ -540,6 +529,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
+    # argparse reads "--flag=--" as an empty list of values; refuse it as a missing value.
+    tokens = sys.argv[1:] if argv is None else argv
+    if any(t.startswith("--") and t.partition("=")[2] == "--" for t in tokens):
+        parser.error("an option's value may not be '--'")
     try:
         # Rational flags are parsed here, so their errors exit 2 as well.
         args = parser.parse_args(argv)

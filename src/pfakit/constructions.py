@@ -31,6 +31,7 @@ from .core import (
     ProbAutomaton,
     TargetTable,
     _instance,
+    _show,
     dirac,
     require_simple,
 )
@@ -78,15 +79,21 @@ def parse_sim_letter(token: str) -> tuple[str, ...]:
     return ("base", token)
 
 
+def _in_open_unit(name: str, value: Fraction) -> Fraction:
+    """``value`` as a Fraction; DomainError unless 0 < value < 1."""
+    value = Fraction(value)
+    if not 0 < value < 1:
+        raise DomainError(f"{name} must lie strictly between 0 and 1, got {_show(value)}")
+    return value
+
+
 def commit_prob(lam: Fraction, rounds: int) -> Fraction:
     """Probability that the two-sharp gadget commits within ``rounds`` retries.
 
     One retry commits with probability 2*lam*(1-lam), so this is
     1 - (1 - 2*lam*(1-lam))**rounds. Requires 0 < lam < 1 and rounds >= 0.
     """
-    lam = Fraction(lam)
-    if not 0 < lam < 1:
-        raise DomainError(f"lam must lie strictly between 0 and 1, got {lam}")
+    lam = _in_open_unit("lam", lam)
     if rounds < 0:
         raise DomainError(f"rounds must be >= 0, got {rounds}")
     return 1 - (1 - 2 * lam * (1 - lam)) ** rounds
@@ -180,9 +187,7 @@ def fair_coin(a: ProbAutomaton, lam: Fraction) -> FairCoinOutput:
     with probability 2*lam*(1-lam), splitting committed mass evenly between
     the move's targets. Initial and final states carry over unchanged.
     """
-    lam = Fraction(lam)
-    if not 0 < lam < 1:
-        raise DomainError(f"lam must lie strictly between 0 and 1, got {lam}")
+    lam = _in_open_unit("lam", lam)
     skel = _coin_skeleton(a)
     delta: dict[tuple[str, str], Distribution] = {}
     dirac_cache = {s: dirac(s) for s in skel.states}
@@ -470,7 +475,7 @@ def build_simulation(a: ProbAutomaton) -> SimulationNPA:
         rows[c][index[s]] = index[t]
     table = TargetTable(states, alphabet, rows, multi, int_rows=True)
 
-    npa = NumberlessAutomaton.from_targets(states, alphabet, left[skel.initial], table, {start})
+    npa = NumberlessAutomaton(states, alphabet, left[skel.initial], table, {start})
     return SimulationNPA(
         npa=npa,
         state_order=order,
@@ -496,12 +501,7 @@ def instantiate_simulation(
     multi-target pair is (coin, $), and carries only its own coin toss; only
     that pair is checked.
     """
-    lam = Fraction(lam)
-    theta = Fraction(theta)
-    if not 0 < lam < 1:
-        raise DomainError(f"lam must lie strictly between 0 and 1, got {lam}")
-    if not 0 < theta < 1:
-        raise DomainError(f"theta must lie strictly between 0 and 1, got {theta}")
+    lam, theta = _in_open_unit("lam", lam), _in_open_unit("theta", theta)
     toss = Distribution(
         {sim.heads: lam * theta, sim.tails: (1 - lam) * theta, sim.skip: 1 - theta}
     )

@@ -38,10 +38,12 @@ per letter, a list over source states holding the index of the first target in
 state order, plus the targets of the pairs with several. A
 :class:`NumberlessAutomaton`'s support is such a table; a
 :class:`ProbAutomaton`'s ``delta`` is a read-only view of one plus the
-distributions of exactly its multi-target pairs. Per-pair tables and triple
-sets are compiled into a table once, at construction; :func:`instantiate`
-gives its result the support automaton's own table,
-:func:`support_abstraction` gives back the probabilistic automaton's, and
+distributions of exactly its multi-target pairs. One writer, ``_write_rows``,
+turns per-pair input into rows: per-pair tables of distributions or of
+targets, triple sets and documents each read their own input into each pair's
+first target or its targets, and hand them over. :func:`instantiate` gives
+its result the support automaton's own table, :func:`support_abstraction`
+gives back the probabilistic automaton's, and
 :func:`~pfakit.constructions.build_simulation` writes its rows directly.
 """
 
@@ -49,11 +51,12 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain, compress, product
 from typing import Iterable, NoReturn, Sequence
 
 from .errors import (
@@ -170,12 +173,23 @@ class Distribution:
         return f"Distribution({{{inner}}})"
 
 
-def _show(p: Fraction) -> str:
-    """``str(p)``, or a note where ``p`` has more digits than Python renders."""
+def _show(p: Fraction, render=str) -> str:
+    """``render(p)`` for a message, or a note where ``p`` has more digits than Python renders."""
     try:
-        return str(p)
+        return render(p)
     except ValueError:
         return "a fraction too long to print"
+
+
+def _exact(p: Fraction) -> str:
+    """``str(p)`` at any size, for output: Python's int-to-str digit limit is lifted
+    only while rendering, so flags and documents are still parsed under it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(p)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def dirac(state: str) -> Distribution:
@@ -250,12 +264,11 @@ def _compile_delta(pa: ProbAutomaton, state_set, delta: dict) -> _SkeletonDelta:
             isinstance(d, Distribution) and state_set.issuperset(d._entries) for d in distinct.values()):
         _check_delta(pa.states, pa.alphabet, state_set, delta)
     index = {s: i for i, s in enumerate(pa.states)}
-    first = {key: min(map(index.__getitem__, d._entries)) for key, d in distinct.items()}
-    firsts = list(map(first.__getitem__, ids))
-    rows = {a: firsts[j::len(pa.alphabet)] for j, a in enumerate(pa.alphabet)}
-    spec = {pair: d for pair, d in zip(product(pa.states, pa.alphabet), dists) if len(d._entries) > 1}
-    multi = {pair: tuple(sorted(d._entries, key=index.__getitem__)) for pair, d in spec.items()}
-    return _SkeletonDelta(TargetTable(pa.states, pa.alphabet, rows, multi, int_rows=True), spec)
+    # Each Dirac object's target; the writer ranks the split ones.
+    first = {key: index[next(iter(d._entries))] for key, d in distinct.items() if len(d._entries) == 1}
+    split = distinct.keys() - first.keys()
+    odd = {k: dists[k] for k in compress(range(len(ids)), map(split.__contains__, ids))}
+    return _SkeletonDelta(*_write_rows(pa.states, pa.alphabet, index, list(map(first.get, ids)), odd))
 
 
 def _check_delta(states, alphabet, state_set, delta) -> NoReturn:
@@ -294,10 +307,10 @@ class TargetTable(Mapping):
 
     def __init__(self, states: Sequence[str], alphabet: Sequence[str],
                  rows: dict[str, list[int]], multi: dict[tuple[str, str], tuple[str, ...]],
-                 *, int_rows: bool = False):
+                 *, int_rows: bool = False, index: dict[str, int] | None = None):
         self.states, self.alphabet = tuple(states), tuple(alphabet)
         self.rows, self.multi, self.int_rows = rows, multi, int_rows
-        self.index = {s: i for i, s in enumerate(self.states)}
+        self.index = index or {s: i for i, s in enumerate(self.states)}
         self.singles = [(s,) for s in self.states]  # shared single-target tuples
 
     def __getitem__(self, key) -> tuple[str, ...]:
@@ -357,34 +370,52 @@ def _pair_order(index, alphabet, rows, values, overrides) -> list:
     return out
 
 
-def _compile_targets(states, alphabet, table: Mapping) -> TargetTable:
-    """The :class:`TargetTable` of a caller's per-pair table, validated.
+def _write_rows(states, alphabet, index: dict[str, int], firsts: list,
+                odd: dict[int, Iterable[str]]) -> tuple[TargetTable, dict]:
+    """The one writer of :class:`TargetTable` rows from per-pair input: ``firsts``
+    holds each pair's first target index in states x alphabet order, and ``odd``
+    the targets (or Distribution) of the pair at each position without exactly
+    one, which overwrite its entry. Each distinct object of ``odd`` is sorted
+    once. Also returns the object of each multi-target pair, in position order."""
+    m = len(alphabet)
+    ranked: dict[int, tuple[str, ...]] = {}  # by the object's id
+    multi, objects = {}, {}
+    for k, hits in odd.items():
+        hit_list = ranked.get(id(hits))
+        if hit_list is None:
+            unique = hits._entries if hits.__class__ is Distribution else set(hits)
+            hit_list = ranked[id(hits)] = tuple(sorted(unique, key=index.__getitem__))
+        firsts[k] = index[hit_list[0]]
+        if len(hit_list) > 1:
+            pair = (states[k // m], alphabet[k % m])
+            multi[pair], objects[pair] = hit_list, hits
+    rows = {a: firsts[j::m] for j, a in enumerate(alphabet)}
+    return TargetTable(states, alphabet, rows, multi, int_rows=True, index=index), objects
 
-    The row build itself stops on an unknown id or an entry without targets;
-    only then is the table walked, in its own order, to name the first
-    offender. Entries without targets are dropped before totality is checked.
-    """
+
+def _compile_targets(states, alphabet, table: Mapping) -> TargetTable:
+    """The :class:`TargetTable` of a caller's per-pair table, validated. Entries
+    without targets are dropped; the table is walked, in its own order, to name
+    the first unknown id only when the row build stops on one."""
     index = {s: i for i, s in enumerate(states)}
-    rows = {a: [0] * len(states) for a in alphabet}
+    letter_at = {a: j for j, a in enumerate(alphabet)}
+    m = len(alphabet)
+    firsts: list = [None] * (len(states) * m)
     try:
-        # Only lists and multi-target or empty entries need normalising.
-        odd = {pair: tuple(sorted(set(hits), key=index.__getitem__))
-               for pair, hits in table.items() if len(hits) != 1 or hits.__class__ is not tuple}
-        for (s, a), hits in ({**table, **odd} if odd else table).items():
-            rows[a][index[s]] = index[hits[0]]
-    except (KeyError, IndexError):
+        odd = {index[s] * m + letter_at[a]: hits for (s, a), hits in table.items() if hits}
+        compiled, _ = _write_rows(states, alphabet, index, firsts, odd)
+    except KeyError:
         for (s, a), hits in table.items():
             for t in hits:
-                if s not in index or t not in index or a not in rows:
+                if s not in index or t not in index or a not in letter_at:
                     bad = "letter" if s in index and t in index else "state"
                     raise ValidationError(
                         f"support triple {(s, a, t)!r} uses unknown {bad}") from None
-        return _compile_targets(states, alphabet, {p: hits for p, hits in table.items() if hits})
-    if len(table) != len(states) * len(alphabet):
-        s, a = next(pair for pair in product(states, alphabet) if pair not in table)
+        raise
+    if None in firsts:
+        s, a = list(product(states, alphabet))[firsts.index(None)]
         raise ValidationError(f"no support for ({s!r}, {a!r}); automata must be total")
-    multi = {pair: hits for pair, hits in odd.items() if len(hits) > 1}
-    return TargetTable(states, alphabet, rows, multi, int_rows=True)
+    return compiled
 
 
 class SupportTriples(Set):
@@ -413,13 +444,11 @@ class SupportTriples(Set):
 class NumberlessAutomaton:
     """A support-level automaton: who can go where, with the numbers erased.
 
-    ``support`` is a set of (state, letter, target) triples, kept as the
-    :class:`SupportTriples` of a :class:`TargetTable`: integer rows, one
-    target index per state and letter, plus the few pairs with several
-    targets. :meth:`from_targets` takes a per-pair table instead of triples;
-    a :class:`TargetTable` over the same states and letters is kept as it is,
-    once its rows are checked. Totality is required: every (state, letter)
-    pair has at least one target.
+    ``support`` is a set of (state, letter, target) triples, or a per-pair
+    table of targets, kept as the :class:`SupportTriples` of a
+    :class:`TargetTable`; a table over the same states and letters is kept
+    as it is, once its rows are checked. Totality is required: every
+    (state, letter) pair has at least one target.
     """
 
     states: tuple[str, ...]
@@ -427,11 +456,6 @@ class NumberlessAutomaton:
     initial: str
     support: Set
     final: frozenset[str]
-
-    @classmethod
-    def from_targets(cls, states, alphabet, initial, targets, final) -> NumberlessAutomaton:
-        """The automaton whose pair (s, a) goes to the states ``targets[(s, a)]``."""
-        return cls(states, alphabet, initial, targets, final)
 
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
@@ -443,7 +467,7 @@ class NumberlessAutomaton:
             raise ValidationError(f"initial state {self.initial!r} not among states")
         if stray := self.final - frozenset(self.states):
             raise ValidationError(f"final states {sorted(stray)} not among states")
-        table = self.support  # triples, or a table from from_targets
+        table = self.support  # triples, or a per-pair table
         if isinstance(table, SupportTriples):
             table = table.table
         elif not isinstance(table, Mapping):
@@ -755,15 +779,14 @@ def require_simple(pa: ProbAutomaton) -> ProbAutomaton:
     """Return ``pa`` unchanged, or raise NotSimple naming the first offending pair."""
     for (s, a), dist in sorted(pa.delta.spec.items()):
         if not _is_simple_row(dist):
-            probs = sorted(p for _, p in dist.items())
-            raise NotSimple(f"({s!r}, {a!r}) has probabilities {probs}, not in {{1/2, 1}}")
+            probs = ", ".join(_show(p, repr) for p in sorted(p for _, p in dist.items()))
+            raise NotSimple(f"({s!r}, {a!r}) has probabilities [{probs}], not in {{1/2, 1}}")
     return pa
 
 
 def support_abstraction(pa: ProbAutomaton) -> NumberlessAutomaton:
     """Erase the numbers: the support automaton on ``pa``'s own table."""
-    return NumberlessAutomaton.from_targets(pa.states, pa.alphabet, pa.initial, pa.delta.table,
-                                            pa.final)
+    return NumberlessAutomaton(pa.states, pa.alphabet, pa.initial, pa.delta.table, pa.final)
 
 
 def _check_support(s: str, a: str, wanted: frozenset[str], dist) -> None:

@@ -29,13 +29,12 @@ yields: "from", "letter" and "to", with equal target lists sharing one
 tuple. Its :class:`TransitionRecord` objects are built only when
 ``AutomatonDocument.transitions`` is first read, which nothing in the library
 does. parse_document checks the columns' shapes in bulk, by the set of types
-in each field. document_to_automaton checks every source and target against
-the states with one set operation and, when the records name each pair once
-(every document the library writes lists them in states x alphabet order,
-which needs no sorting), writes the rows and split pairs straight into a
-``TargetTable``; serialize_document sorts only records out of that order.
-The records are walked one by one only when a bulk check fails, to name the
-first offender, and for an npa's several records for one pair, which merge.
+in each field. document_to_automaton has one path: it puts the "to" column in
+states x alphabet order (documents the library writes already are; an npa's
+records for one pair merge there), checks it in bulk, and hands each pair's
+first target, or its targets, to the row writer in :mod:`pfakit.core`, which
+alone knows the row format. The records are walked one by one only when a
+bulk check fails, and that walk raises, naming the first offender.
 
 Structural problems (bad JSON, wrong shapes) raise ParseError; semantic
 problems (unknown ids, bad sums, unbound parameters) raise ValidationError.
@@ -49,12 +48,12 @@ from collections import deque
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from itertools import chain, compress, repeat
-from typing import Union
+from itertools import chain, compress, product, repeat
+from typing import NoReturn, Union
 
 from .core import (
-    MAX_EXPONENT, Distribution, NumberlessAutomaton, ProbAutomaton, TargetTable, _instance,
-    _SkeletonDelta, _table_and_split, instantiate,
+    MAX_EXPONENT, Distribution, NumberlessAutomaton, ProbAutomaton, _SkeletonDelta,
+    _table_and_split, _write_rows, instantiate,
 )
 from .constructions import BuchiAutomaton
 from .errors import AutomatonError, NotADistribution, ParseError, ValidationError
@@ -374,42 +373,96 @@ def document_to_automaton(
 ) -> Automaton:
     """Build the validated automaton a document denotes.
 
-    A numberless document without bindings yields a NumberlessAutomaton; with
-    bindings its expressions are evaluated and instantiated on the support the
-    document lists, so a target whose expression evaluates to zero raises
-    InconsistentSupport.
-    "pa"/"pba" documents always evaluate expressions (bindings optional).
-
-    A document that lists every pair once is loaded from its columns: the
-    rows and split pairs are written straight into a TargetTable, and each
-    distinct expression is evaluated once. Other documents (an npa's records
-    for one pair are merged), and any "to" that is no distribution, take the
-    per-pair path, whose checks name the first offending record or pair.
+    A numberless document without bindings yields a NumberlessAutomaton; its
+    records for one pair merge. With bindings its expressions are evaluated
+    and instantiated on the support the document lists, so a target whose
+    expression evaluates to zero raises InconsistentSupport.
+    "pa"/"pba" documents always evaluate expressions (bindings optional),
+    each distinct expression once.
     """
-    sources, _letters, tos = doc._columns
-    state_set = set(doc.states)
-    if not state_set.issuperset(chain(sources, chain.from_iterable(tos))):
-        for source, to in zip(sources, tos):  # name the first record with an unknown state
-            if source not in state_set:
-                raise ValidationError(f"transition from unknown state {source!r}")
-            for t in to:
-                if t not in state_set:
-                    raise ValidationError(f"transition to unknown state {t!r}")
+    obj = _from_columns(doc, bindings)
+    if obj is None:
+        _raise_first_offender(doc, bindings)
+    return obj
 
-    ordered = _pair_ordered(doc)
-    rows = None if ordered is None else _rows(doc, ordered, bindings)
+
+def _from_columns(doc: AutomatonDocument, bindings) -> Automaton | None:
+    """The automaton of ``doc``, or None when a bulk check fails: a source or
+    target outside the states, a pair without exactly one record (an npa
+    without bindings merges its records for one pair), a target list with
+    bindings, an expression that fails, a map that is no distribution or, in
+    an npa, gives a target zero mass, or a header the constructors refuse. A
+    one-target map must evaluate to 1; only the other maps are read one by one."""
+    states, alphabet = doc.states, doc.alphabet
+    sources, _letters, tos = doc._columns
+    if not set(states).issuperset(chain(sources, chain.from_iterable(tos))):
+        return None
+    support_only = doc.kind == "npa" and bindings is None
+    tos = _pair_ordered(doc, merge=support_only)
+    if tos is None:
+        return None
+    sizes = list(map(len, tos))
+    # Where "to" does not have exactly one target: its targets, or its Distribution.
+    odd = {k: tos[k] for k in compress(range(len(tos)), map((1).__ne__, sizes))}
+    if not (all(odd.values()) if support_only else set(map(type, tos)) <= {dict}):
+        return None  # a pair without targets, or a target list with bindings
+    if not support_only:
+        singles = set(chain.from_iterable(map(dict.values, compress(tos, map((1).__eq__, sizes)))))
+        try:
+            value = {e: eval_expression(e, bindings)
+                     for e in singles.union(*map(dict.values, odd.values()))}
+        except (AutomatonError, ArithmeticError, TypeError, ValueError):
+            return None
+        if any(value[e] != 1 for e in singles):  # a one-target map is a Dirac or no distribution
+            return None
+        shared: dict[tuple, Distribution] = {}  # by the map's items
+        for k, to in odd.items():
+            items = tuple(to.items())
+            if items not in shared:
+                try:
+                    shared[items] = Distribution({t: value[e] for t, e in items})
+                except NotADistribution:
+                    return None
+                if doc.kind == "npa" and len(shared[items]) < len(items):
+                    return None
+            odd[k] = shared[items]
+    heads = list(tos)
+    for k in odd:
+        heads[k] = states[:1]  # any one state: the writer overwrites it
+    index = {s: i for i, s in enumerate(states)}
+    firsts = list(map(index.__getitem__, chain.from_iterable(heads)))
+    table, split = _write_rows(states, alphabet, index, firsts, odd)
+    try:  # the constructors check the ids and the initial and final states
+        if support_only:
+            return NumberlessAutomaton(states, alphabet, doc.initial, table, doc.final)
+        pa = ProbAutomaton(states, alphabet, doc.initial, _SkeletonDelta(table, split), frozenset(doc.final))
+    except ValidationError:
+        return None
+    return BuchiAutomaton(pa, frozenset(doc.final)) if doc.kind == "pba" else pa
+
+
+def _raise_first_offender(doc: AutomatonDocument, bindings) -> NoReturn:
+    """Raise the error of the first offending record or pair of a document
+    whose bulk checks failed: a record with an unknown state, else whatever
+    bound_transitions, the per-pair constructors and instantiate report."""
+    sources, letters, tos = doc._columns
+    state_set = set(doc.states)
+    for source, to in zip(sources, tos):
+        if source not in state_set:
+            raise ValidationError(f"transition from unknown state {source!r}")
+        for t in to:
+            if t not in state_set:
+                raise ValidationError(f"transition to unknown state {t!r}")
     if doc.kind == "npa":
-        npa = NumberlessAutomaton.from_targets(
-            doc.states, doc.alphabet, doc.initial, _merged(doc) if rows is None else rows[0], doc.final
-        )
-        if bindings is None:
-            return npa
-        return instantiate(npa, bound_transitions(doc, bindings)) if rows is None else _instance(npa, rows[1])
-    delta = bound_transitions(doc, bindings) if rows is None else _SkeletonDelta(*rows)
-    pa = ProbAutomaton(doc.states, doc.alphabet, doc.initial, delta, frozenset(doc.final))
-    if doc.kind == "pba":
-        return BuchiAutomaton(pa, frozenset(doc.final))
-    return pa
+        targets: dict[tuple[str, str], tuple[str, ...]] = {}
+        for pair, to in zip(zip(sources, letters), tos):  # an npa's records for one pair merge
+            targets[pair] = targets.get(pair, ()) + tuple(to)
+        npa = NumberlessAutomaton(doc.states, doc.alphabet, doc.initial, targets, doc.final)
+        if bindings is not None:
+            instantiate(npa, bound_transitions(doc, bindings))
+    else:
+        ProbAutomaton(doc.states, doc.alphabet, doc.initial, bound_transitions(doc, bindings), doc.final)
+    raise AssertionError("a document failed its bulk checks but has no offender")
 
 
 def _in_pair_order(doc: AutomatonDocument) -> bool:
@@ -423,96 +476,24 @@ def _in_pair_order(doc: AutomatonDocument) -> bool:
             and sources == [s for s in states for _ in alphabet])
 
 
-def _positions(doc: AutomatonDocument) -> list[int]:
-    """Each record's place in states x alphabet order; KeyError names an
-    unknown source or letter."""
-    index = {s: i for i, s in enumerate(doc.states)}
-    letter_at = {a: j for j, a in enumerate(doc.alphabet)}
-    m = len(doc.alphabet)
-    sources, letters, _ = doc._columns
-    return [index[s] * m + letter_at[a] for s, a in zip(sources, letters)]
-
-
-def _pair_ordered(doc: AutomatonDocument) -> list | None:
+def _pair_ordered(doc: AutomatonDocument, merge: bool) -> list | None:
     """The "to" column in states x alphabet order, or None unless the records
-    name every pair exactly once."""
-    tos = doc._columns[2]
-    size = len(doc.states) * len(doc.alphabet)
-    if len(tos) != size:
-        return None
-    if _in_pair_order(doc):
-        return tos
-    try:
-        at = dict(zip(_positions(doc), tos))
-    except (KeyError, TypeError):  # an unknown or unhashable letter
-        return None
-    return list(map(at.__getitem__, range(size))) if len(at) == size else None
-
-
-def _rows(doc: AutomatonDocument, tos: list, bindings) -> tuple[TargetTable, dict] | None:
-    """The TargetTable of ``tos``, the "to" column in states x alphabet order
-    with every target known, and the distributions of its multi-target pairs
-    (empty for an npa without bindings).
-
-    Returns None, for the per-pair path to report or merge, on a "to" without
-    targets, a target list with bindings, an expression that fails, or a map
-    that is no distribution or, in an npa, gives a target zero mass. A
-    one-target map must evaluate to 1; only the other maps are read one by one.
-    """
-    states, alphabet = doc.states, doc.alphabet
-    index = {s: i for i, s in enumerate(states)}
-    sizes = list(map(len, tos))
-    # Where "to" does not have exactly one target: its targets in state order.
-    odd: dict[int, tuple[str, ...]] = dict.fromkeys(compress(range(len(tos)), map((1).__ne__, sizes)))
-    split: dict[int, Distribution] = {}
-    if doc.kind == "npa" and bindings is None:
-        for k in odd:
-            odd[k] = tuple(sorted(set(tos[k]), key=index.__getitem__))
-            if not odd[k]:
-                return None
-    else:
-        if not set(map(type, tos)) <= {dict}:
-            return None
-        singles = set(chain.from_iterable(map(dict.values, compress(tos, map((1).__eq__, sizes)))))
-        try:
-            value = {e: eval_expression(e, bindings)
-                     for e in singles.union(*(tos[k].values() for k in odd))}
-        except (AutomatonError, ArithmeticError, TypeError, ValueError):
-            return None
-        if any(value[e] != 1 for e in singles):  # a one-target map is a Dirac or no distribution
-            return None
-        shared: dict[tuple, Distribution] = {}  # by the map's items
-        for k in odd:
-            items = tuple(tos[k].items())
-            if items not in shared:
-                try:
-                    shared[items] = Distribution({t: value[e] for t, e in items})
-                except NotADistribution:
-                    return None
-            d = shared[items]
-            if doc.kind == "npa" and len(d) < len(items):
-                return None
-            odd[k] = tuple(sorted(d._entries, key=index.__getitem__))
-            if len(odd[k]) > 1:
-                split[k] = d
-    heads = list(tos)  # each pair's first target
-    m = len(alphabet)
-    for k, hits in odd.items():
-        heads[k] = hits[:1]
-    firsts = list(map(index.__getitem__, chain.from_iterable(heads)))
-    rows = {a: firsts[j::m] for j, a in enumerate(alphabet)}
-    multi = {(states[k // m], alphabet[k % m]): hits for k, hits in odd.items() if len(hits) > 1}
-    table = TargetTable(states, alphabet, rows, multi, int_rows=True)
-    return table, {(states[k // m], alphabet[k % m]): d for k, d in split.items()}
-
-
-def _merged(doc: AutomatonDocument) -> dict[tuple[str, str], tuple[str, ...]]:
-    """Each pair's targets, an npa's records for one pair merged in order."""
-    targets: dict[tuple[str, str], tuple[str, ...]] = {}
+    name every pair exactly once. With ``merge``, records without targets are
+    dropped, and several records for one pair join into one tuple of targets."""
     sources, letters, tos = doc._columns
-    for pair, to in zip(zip(sources, letters), tos):
-        targets[pair] = targets.get(pair, ()) + tuple(to)
-    return targets
+    if len(tos) == len(doc.states) * len(doc.alphabet) and _in_pair_order(doc):
+        return tos
+    if merge:
+        at: dict[tuple[str, str], Targets] = {}
+        for pair, to in zip(zip(sources, letters), tos):
+            if to:
+                at[pair] = at.get(pair, ()) + tuple(to)
+    else:
+        at = dict(zip(zip(sources, letters), tos))
+        if len(at) < len(tos):  # several records for one pair
+            return None
+    ordered = list(map(at.get, product(doc.states, doc.alphabet)))
+    return ordered if len(at) == len(ordered) and None not in ordered else None
 
 
 def bound_transitions(
@@ -658,8 +639,9 @@ def serialize_document(doc: AutomatonDocument) -> str:
     indent, trailing newline."""
     sources, letters, tos = doc._columns
     if not _in_pair_order(doc):
+        position = {pair: k for k, pair in enumerate(product(doc.states, doc.alphabet))}
         try:
-            at = _positions(doc)
+            at = list(map(position.__getitem__, zip(sources, letters)))
         except KeyError:  # name the first record with an unknown source or letter
             known, letters_known = set(doc.states), set(doc.alphabet)
             s, a = next((s, a) for s, a in zip(sources, letters) if s not in known or a not in letters_known)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from .core import NumberlessAutomaton, ProbAutomaton, _table_and_split
+from .core import NumberlessAutomaton, ProbAutomaton, _exact, _table_and_split
 from .constructions import BuchiAutomaton
 
 
@@ -51,7 +51,7 @@ def export_dot(obj: Union[ProbAutomaton, NumberlessAutomaton, BuchiAutomaton]) -
                 labels.setdefault(row[i], []).append(e + one)
             else:
                 for t in hits:
-                    labels.setdefault(index[t], []).append(f"{e}, {hits[t]}" if one else e)
+                    labels.setdefault(index[t], []).append(f"{e}, {_exact(hits[t])}" if one else e)
         for t in sorted(labels):
             label = "\\n".join(labels[t])
             lines.append(f'  {q} -> {quoted[t]} [label="{label}"];')

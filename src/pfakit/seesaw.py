@@ -48,7 +48,7 @@ _SUPPORT: dict[tuple[str, str], tuple[str, ...]] = {
 
 def seesaw_npa() -> NumberlessAutomaton:
     """The seesaw support skeleton (no numbers)."""
-    return NumberlessAutomaton.from_targets(STATES, ALPHABET, INITIAL, _SUPPORT, FINAL)
+    return NumberlessAutomaton(STATES, ALPHABET, INITIAL, _SUPPORT, FINAL)
 
 
 def seesaw_delta(x: Fraction, y: Fraction) -> dict[tuple[str, str], Distribution]:

@@ -2,10 +2,13 @@ import csv
 import hashlib
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from io import StringIO
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import seesaw_closed_form
 from pfakit import (
@@ -426,6 +429,54 @@ class TestErrors:
         assert err == "error: cannot write ('coin', '$'): a probability has more than 4300 digits\n"
         assert not (tmp_path / "instance.json").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["fair-coin", "--lambda", "1e4300"],
+        ["simulate-instantiate", "--lambda", "1e4300", "--theta", "1/2"],
+    ])
+    def test_flag_past_the_digit_limit(self, capsys, tmp_path, command):
+        source = tmp_path / "source.json"
+        source.write_text(serialize_automaton(random_simple_pa(0, 2, 1)))
+        code, out, err = run(capsys, command[0], "--automaton", str(source), *command[1:])
+        assert (code, out) == (2, "")
+        assert err == "error: lam must lie strictly between 0 and 1, got a fraction too long to print\n"
+
+    def test_sweep_eps_past_the_digit_limit(self, capsys, seesaw_doc):
+        code, out, err = run(capsys, "sweep", "--automaton", seesaw_doc, "--set", "x=1/2",
+                             "--set", "y=1/2", "--eps=-1e4300", "--grid", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: eps must be >= 0, got a fraction too long to print\n"
+
+    # The pair (p, a) of this source has probabilities of about 6000 digits.
+    LONG = "1/" + "7" * 3000 + "*1/" + "7" * 3000
+
+    @pytest.fixture
+    def long_doc(self, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"kind": "pa", "states": ["p", "q"], "alphabet": ["a"],
+                                    "initial": "p", "final": ["q"], "transitions": [
+                                        {"from": "p", "letter": "a", "to": {"p": self.LONG, "q": "1-" + self.LONG}},
+                                        {"from": "q", "letter": "a", "to": {"q": "1"}}]}))
+        return str(path)
+
+    @pytest.mark.parametrize("command", [["simulate-build"], ["fair-coin", "--lambda", "1/3"]])
+    def test_probabilities_past_the_digit_limit_are_not_simple(self, capsys, long_doc, command):
+        code, out, err = run(capsys, command[0], "--automaton", long_doc, *command[1:])
+        assert (code, out) == (2, "")
+        assert err == ("error: ('p', 'a') has probabilities [a fraction too long to print,"
+                       " a fraction too long to print], not in {1/2, 1}\n")
+
+    def test_dot_labels_past_the_digit_limit(self, capsys, long_doc):
+        code, out, err = run(capsys, "export-dot", "--automaton", long_doc)
+        assert (code, err) == (0, "")
+        p = F(1, int("7" * 3000)) ** 2
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            labels = [f'"p" -> "p" [label="a, {p}"];', f'"p" -> "q" [label="a, {1 - p}"];']
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert [line.strip() for line in out.splitlines() if line.strip().startswith('"p" ->')] == labels
+
     def test_sweep_grid_beyond_the_point_bound(self, capsys, seesaw_doc):
         code, out, err = run(
             capsys, "sweep", "--automaton", seesaw_doc,
@@ -632,3 +683,71 @@ class TestBattery:
         for seed in (0, 1, 2):
             for _t, rep in prop_battery(seed, 18):
                 assert rep.holds
+
+
+# --- an argv fuzzer --------------------------------------------------------------
+
+# Valid values come first and more often: hypothesis favours the first of a list.
+JUNK = ("", " ", "x", "1/0", "--", "\u00e9")
+INTS = st.sampled_from(("1", "2", "0", "3", "-1") * 3 + JUNK)
+RATIONALS = st.sampled_from(("1/2", "1/3", "0.25", "1e-4300", "1/" + "7" * 3000, "0", "1", "-1/2", "1e4300",
+                             "-1e4300") * 3 + JUNK)
+WORDS = st.lists(st.sampled_from(("a", "i", "f", "a", "#", "$", "next_word", "z")), max_size=4).map(" ".join)
+STATES = st.sampled_from(("q0", "C1", "q1", "L2", "q0 q1", "ghost", ""))
+# Each command's flags. Those that scale work are always given, and small.
+FLAGS = {
+    "eval": {"--word": WORDS},
+    "reach": {"--source": STATES, "--word": WORDS, "--targets": STATES},
+    "search": {"--max-len": INTS, "--beam": INTS, "--max-beliefs": INTS},
+    "fair-coin": {"--lambda": RATIONALS},
+    "simulate-build": {},
+    "simulate-instantiate": {"--lambda": RATIONALS, "--theta": RATIONALS},
+    "hat": {"--word": WORDS},
+    "encode": {"--word": WORDS, "--k": INTS},
+    "fairness-dfa": {},
+    "buchi": {},
+    "lasso": {"--stem": WORDS, "--cycle": WORDS},
+    "sweep": {"--eps": RATIONALS, "--grid": INTS, "--max-len": INTS, "--beam": INTS},
+    "check-props": {"--seed": INTS, "--trials": INTS},
+    "case-study": {"--x": RATIONALS, "--y": RATIONALS, "--n-max": INTS, "--m-max": INTS,
+                   "--eps": RATIONALS},
+    "export-dot": {},
+    "monte-carlo": {"--word": WORDS, "--samples": INTS, "--seed": INTS},
+}
+SCALING = {"--max-len", "--samples", "--trials", "--n-max", "--m-max"}
+NO_DOCUMENT = {"encode", "check-props", "case-study"}
+
+
+class TestArgvFuzz:
+    """Drawn argv for every command end in exit 0 or 2 (1 only for a
+    violated check-props), never in an exception."""
+
+    @pytest.fixture(scope="class")
+    def documents(self, tmp_path_factory, seesaw_doc):
+        source = tmp_path_factory.mktemp("fuzz") / "source.json"
+        source.write_text(serialize_automaton(random_simple_pa(0, 2, 1)))
+        return (str(source), seesaw_doc, str(source.with_name("missing.json")))
+
+    def test_fuzzed_argv_exits_cleanly(self, documents):
+        @given(st.data())
+        @settings(max_examples=600, deadline=None)
+        def run_one(data):
+            draw = data.draw
+            command = draw(st.sampled_from(sorted(FLAGS)))
+            argv = [command]
+            if command not in NO_DOCUMENT:
+                argv.append("--automaton=" + draw(st.sampled_from(documents[:2] * 3 + documents[2:])))
+                names = st.sampled_from(("x", "y") * 2 + ("z", ""))
+                for name, value in draw(st.lists(st.tuples(names, RATIONALS), max_size=3)):
+                    argv.append(f"--set={name}={value}")
+            for flag, values in FLAGS[command].items():
+                if flag in SCALING or draw(st.integers(0, 9)):  # now and then a flag is left out
+                    argv.append(f"{flag}={draw(values)}")
+            with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse refuses the argv
+                    code = exc.code
+            assert code in ((0, 1, 2) if command == "check-props" else (0, 2)), argv
+
+        run_one()

@@ -389,7 +389,7 @@ class TestTableBuiltSimulation:
     def test_rows_equal_the_compiled_reference(self, shape):
         sim = _sim_of_shape(shape)
         states, alphabet, initial, table = _reference_simulation(random_simple_pa(7, *shape))
-        from_table = NumberlessAutomaton.from_targets(states, alphabet, initial, table, {"D:start"})
+        from_table = NumberlessAutomaton(states, alphabet, initial, table, {"D:start"})
         triples = {(s, c, t) for (s, c), hits in table.items() for t in hits}
         from_triples = NumberlessAutomaton(states, alphabet, initial, triples, {"D:start"})
         assert sim.npa == from_table == from_triples

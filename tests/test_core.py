@@ -147,7 +147,7 @@ class TestAutomatonValidation:
 
 
 class TestTargetTables:
-    """NumberlessAutomaton.from_targets: the per-pair table the builders hand over."""
+    """NumberlessAutomaton on a per-pair table: the form the builders hand over."""
 
     STATES, ALPHABET = ("q", "r", "s"), ("a", "b")
 
@@ -160,7 +160,7 @@ class TestTargetTables:
         return table
 
     def build(self, table):
-        return NumberlessAutomaton.from_targets(self.STATES, self.ALPHABET, "q", table, {"r"})
+        return NumberlessAutomaton(self.STATES, self.ALPHABET, "q", table, {"r"})
 
     def test_equals_the_triple_construction(self):
         npa = self.build(self.table())
@@ -709,7 +709,7 @@ class TestInstance:
 
     def test_first_offender_in_sorted_pair_order(self):
         # the table, its multi-target pairs and the split all list ('q', 'b') first
-        npa = NumberlessAutomaton.from_targets(("p", "q"), ("a", "b"), "p", {
+        npa = NumberlessAutomaton(("p", "q"), ("a", "b"), "p", {
             ("q", "b"): ("p", "q"), ("p", "a"): ("q", "p"), ("p", "b"): ("p",), ("q", "a"): ("q",),
         }, {"q"})
         assert list(npa.support.table.multi) == [("q", "b"), ("p", "a")]

@@ -515,7 +515,7 @@ def automata(draw):
     hits = st.lists(st.sampled_from(states), min_size=1, max_size=3, unique=True)
     if kind == "npa":
         table = {(s, c): draw(hits) for s in states for c in alphabet}
-        return NumberlessAutomaton.from_targets(states, alphabet, states[0], table, final)
+        return NumberlessAutomaton(states, alphabet, states[0], table, final)
     shared = {s: dirac(s) for s in states}
     delta = {}
     for s in states:
@@ -692,7 +692,7 @@ def reference_document_to_automaton(doc, bindings=None):
         for rec in doc.transitions:
             pair = (rec.source, rec.letter)
             targets[pair] = targets.get(pair, ()) + tuple(rec.to)
-        npa = NumberlessAutomaton.from_targets(doc.states, doc.alphabet, doc.initial, targets, doc.final)
+        npa = NumberlessAutomaton(doc.states, doc.alphabet, doc.initial, targets, doc.final)
         if bindings is None:
             return npa
 
@@ -944,6 +944,81 @@ class TestColumnsAgainstRecords:
                 "kind": kind, "states": states, "alphabet": alphabet, "initial": states[0],
                 "final": states[-1:], "params": ["x"],
                 "transitions": [{"from": s, "letter": a, "to": to} for s, a, to in records]})), bindings)
+
+
+def parametrized(test, names):
+    """The values ``test`` is parametrized with under ``names``."""
+    return next(mark.args[1] for mark in test.pytestmark if mark.args[0] == names)
+
+
+def search_again(test, max_examples):
+    """Run the ``st.data()`` search of the hypothesis test ``test``, a bound
+    method, once more as a search of its own."""
+    inner = test.hypothesis.inner_test
+    settings(max_examples=max_examples, deadline=None)(given(st.data())(
+        lambda data: inner(test.__self__, data)))()
+
+
+class TestWalkOnlyOnFailure:
+    """document_to_automaton walks the records to name the first offender
+    exactly when it raises, on every document TestColumnsAgainstRecords and
+    the document fuzzer load."""
+
+    @pytest.fixture
+    def load(self, monkeypatch):
+        """A loader that checks that, and records each document's kind, whether
+        it names a pair twice, and whether it raised."""
+        walks, self.seen = [], []
+        walk = pfakit.documents._raise_first_offender
+
+        def spy(doc, bindings):
+            walks.append(doc)
+            walk(doc, bindings)
+
+        monkeypatch.setattr(pfakit.documents, "_raise_first_offender", spy)
+
+        def load(doc, bindings=None):
+            walks.clear()
+            try:
+                document_to_automaton(doc, bindings)
+                raised = False
+            except AssertionError:  # the walk found no offender
+                raise
+            except Exception:  # any other exception: the walk must have raised it
+                raised = True
+            assert len(walks) == raised
+            sources, letters, _ = doc._columns
+            self.seen.append((doc.kind, len(set(zip(sources, letters))) < len(sources), raised))
+
+        return load
+
+    def test_record_corpus(self, load, monkeypatch, bench_texts):
+        monkeypatch.setitem(globals(), "assert_matches_records", load)
+        corpus = TestColumnsAgainstRecords()
+        corpus.test_written_documents()
+        corpus.test_bench_documents(bench_texts)
+        for kind in parametrized(corpus.test_irregular_records, "kind"):
+            for records in parametrized(corpus.test_irregular_records, "records"):
+                corpus.test_irregular_records(kind, records)
+        for states, alphabet, records in parametrized(corpus.test_irregular_ids, "states,alphabet,records"):
+            corpus.test_irregular_ids(states, alphabet, records)
+        corpus.test_record_error_corpus()
+        search_again(corpus.test_drawn_documents, 200)
+        # npa records for one pair merge without bindings and fail with them
+        assert {("npa", True, False), ("npa", True, True), ("pa", False, False),
+                ("pa", False, True)} <= set(self.seen)
+
+    def test_fuzzed_documents(self, load, monkeypatch):
+        def parse_and_load(text, bindings):
+            try:
+                doc = parse_document(text)
+            except AutomatonError:
+                return
+            load(doc, bindings)
+
+        monkeypatch.setitem(globals(), "assert_loads_canonically_or_fails", parse_and_load)
+        search_again(TestDocumentFuzz().test_mutated_documents_load_or_fail_cleanly, 150)
+        assert {raised for *_, raised in self.seen} == {False, True}
 
 
 class TestColumns:

@@ -98,7 +98,7 @@ class TestExportDot:
     def test_letters_with_backslashes_close_their_labels(self, letter):
         targets = {("p", letter): ("p", "q"), ("p", "b"): ("q",),
                    ("q", letter): ("q",), ("q", "b"): ("q",)}
-        npa = NumberlessAutomaton.from_targets(("p", "q"), (letter, "b"), "p", targets, {"q"})
+        npa = NumberlessAutomaton(("p", "q"), (letter, "b"), "p", targets, {"q"})
         pa = ProbAutomaton(("p", "q"), (letter, "b"), "p", {
             pair: Distribution({t: F(1, len(ts)) for t in ts}) for pair, ts in targets.items()
         }, {"q"})
@@ -156,7 +156,7 @@ def automata(draw):
     table = {(s, c): draw(hits) for s in states for c in alphabet}
     kind = draw(st.sampled_from(("pa", "npa", "pba")))
     if kind == "npa":
-        return NumberlessAutomaton.from_targets(states, alphabet, states[0], table, final)
+        return NumberlessAutomaton(states, alphabet, states[0], table, final)
     delta = {pair: Distribution({t: F(1, len(ts)) for t in ts}) for pair, ts in table.items()}
     pa = ProbAutomaton(states, alphabet, states[0], delta, final)
     return BuchiAutomaton(pa, final) if kind == "pba" else pa
