@@ -32,7 +32,7 @@ from .core import (
 from .constructions import (
     BuchiAutomaton,
     NEXT_WORD,
-    _probe_skeleton,
+    _probe_support,
     buchi_reduction,
     build_simulation,
     encode_word,
@@ -189,8 +189,8 @@ def _cmd_simulate_instantiate(args) -> int:
 
 
 def _cmd_hat(args) -> int:
-    skel = _probe_skeleton(_load_pa(args))  # build_simulation's state order and checks
-    print(_word_out(hat(_word(args.word), skel.states)))
+    support = _probe_support(_load_pa(args))[0]  # build_simulation's state order and checks
+    print(_word_out(hat(_word(args.word), support.states)))
     return 0
 
 
@@ -200,8 +200,8 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_fairness_dfa(args) -> int:
-    skel = _probe_skeleton(_load_pa(args))
-    checker = fairness_dfa(skel.alphabet, skel.states)
+    support = _probe_support(_load_pa(args))[0]
+    checker = fairness_dfa(support.alphabet, support.states)
     _emit(args, serialize_automaton(checker, name="fairness-checker"))
     return 0
 
@@ -527,15 +527,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _rational_flags() -> frozenset[str]:
+    """Every option string, of any command, whose value parse_rational reads."""
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return frozenset(flag for p in sub.choices.values() for a in p._actions
+                     if a.type is parse_rational for flag in a.option_strings)
+
+
+def _join_negatives(tokens: Sequence[str]) -> list[str]:
+    """``tokens`` with each rational flag followed by a value such as -1/3
+    joined to it as ``--flag=-1/3``: argparse takes such a value for an option."""
+    out, flags = [], _rational_flags()
+    for t in tokens:
+        if out and out[-1] in flags and t.startswith("-") and not t.startswith("--"):
+            out[-1] += "=" + t
+        else:
+            out.append(t)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     # argparse reads "--flag=--" as an empty list of values; refuse it as a missing value.
-    tokens = sys.argv[1:] if argv is None else argv
+    tokens = _join_negatives(sys.argv[1:] if argv is None else argv)
     if any(t.startswith("--") and t.partition("=")[2] == "--" for t in tokens):
         parser.error("an option's value may not be '--'")
     try:
         # Rational flags are parsed here, so their errors exit 2 as well.
-        args = parser.parse_args(argv)
+        args = parser.parse_args(tokens)
         return args.func(args)
     except AutomatonError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -6,7 +6,9 @@ Three constructions live here, plus their word-level encodings:
   biased-coin automaton whose only probabilities are lambda and 1 - lambda. A
   two-sharp gadget replaces every transition: each pair of ``#`` letters either
   commits the pending transition or retries, so padding a word with ``#`` pairs
-  recovers the original semantics up to the factor :func:`commit_prob`.
+  recovers the original semantics up to the factor :func:`commit_prob`. The
+  result is an instance: a numberless coin support, whose only split pairs are
+  the helper states' ``#`` moves, plus lambda and 1 - lambda on those pairs.
 * :func:`build_simulation` compresses the whole biased-coin family into one
   support automaton with a single probabilistic transition. Probed words
   (:func:`hat`) drive it through check/apply micro-steps; an embedded
@@ -23,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Mapping, Sequence
 
 from .core import (
@@ -32,6 +35,7 @@ from .core import (
     TargetTable,
     _instance,
     _show,
+    _write_rows,
     dirac,
     require_simple,
 )
@@ -49,6 +53,12 @@ NEXT_TRANSITION = "next_transition"
 NEXT_WORD = "next_word"
 # Most letters encode_word writes: a 1 MB word on the command line.
 MAX_ENCODED_LETTERS = 1_000_000
+# Most (state, letter) pairs build_simulation and fairness_dfa may write. The
+# build takes about 16 ns a pair, and simulate-build with its document about
+# 400 ns and 230 bytes of memory: 0.9 s and 540 MB for the 2.27M pairs of a
+# (6 states, 5 letters) source (Python 3.11, 2-vCPU VM). Tests build at most
+# the 193k pairs of a (4, 3) source.
+MAX_SIMULATION_PAIRS = 2_000_000
 
 
 def check_letter(b: str, q: str) -> str:
@@ -106,63 +116,40 @@ def _fresh(name: str, used: set[str]) -> str:
     return name
 
 
-@dataclass(frozen=True)
-class _CoinSkeleton:
-    """Shared layout of the biased-coin automaton, before numbers are chosen.
+def _coin_support(a: ProbAutomaton) -> tuple[NumberlessAutomaton, dict, str, dict]:
+    """The coin automaton of ``a`` before numbers are chosen, with its gadget
+    map, its sink and each split pair's (lam-target, (1-lam)-target).
 
-    ``branch`` maps every (state, letter) pair to its (lam-target,
-    (1-lam)-target) pair; deterministic moves repeat the same target twice.
+    Each original state hops to its moves' pending states and idles on ``#``;
+    a move's three helper states split on ``#`` and, like the sink, fall into
+    the sink on every other letter.
     """
-
-    states: tuple[str, ...]
-    alphabet: tuple[str, ...]
-    initial: str
-    final: frozenset[str]
-    branch: Mapping[tuple[str, str], tuple[str, str]]
-    gadget: Mapping[tuple[str, str], tuple[str, str, str]]
-    sink: str
-
-
-def _coin_skeleton(a: ProbAutomaton) -> _CoinSkeleton:
     require_simple(a)
     if SHARP in a.alphabet:
         raise AlphabetClash(f"source alphabet already contains {SHARP!r}")
     used = set(a.states)
-    states = list(a.states)
-    gadget: dict[tuple[str, str], tuple[str, str, str]] = {}
-    for q in a.states:
-        for b in a.alphabet:
-            mid = _fresh(f"{q}@{b}", used)
-            left = _fresh(f"{q}@{b}:L", used)
-            right = _fresh(f"{q}@{b}:R", used)
-            gadget[(q, b)] = (mid, left, right)
-            states += [mid, left, right]
+    gadget = {(q, b): (_fresh(f"{q}@{b}", used), _fresh(f"{q}@{b}:L", used),
+                       _fresh(f"{q}@{b}:R", used)) for q in a.states for b in a.alphabet}
     sink = _fresh("sink", used)
-    states.append(sink)
-
+    states = (*a.states, *chain.from_iterable(gadget.values()), sink)
     alphabet = a.alphabet + (SHARP,)
-    branch: dict[tuple[str, str], tuple[str, str]] = {}
-    for q in a.states:
-        branch[(q, SHARP)] = (q, q)  # original states idle on sharps
-        for b in a.alphabet:
-            mid, left, right = gadget[(q, b)]
-            branch[(q, b)] = (mid, mid)
-            # Sorted support: the lam branch of the gadget retries via `left`,
-            # ultimately landing on the first target; the other lands on the second.
-            targets = [t for t, _ in a.delta[(q, b)].items()]
-            t_first, t_second = (targets[0], targets[-1])
-            branch[(mid, SHARP)] = (left, right)
-            branch[(left, SHARP)] = (mid, t_first)
-            branch[(right, SHARP)] = (t_second, mid)
-            for c in a.alphabet:
-                branch[(mid, c)] = (sink, sink)
-                branch[(left, c)] = (sink, sink)
-                branch[(right, c)] = (sink, sink)
-    for c in alphabet:
-        branch[(sink, c)] = (sink, sink)
-    return _CoinSkeleton(
-        tuple(states), alphabet, a.initial, a.final, branch, gadget, sink
-    )
+    index = {s: i for i, s in enumerate(states)}
+    firsts = []
+    for i, q in enumerate(a.states):
+        firsts += [index[gadget[(q, b)][0]] for b in a.alphabet] + [i]
+    firsts += [index[sink]] * ((len(states) - len(a.states)) * len(alphabet))
+    split: dict[tuple[str, str], tuple[str, str]] = {}
+    for (q, b), (mid, left, right) in gadget.items():
+        # The lam branch retries via `left`, landing on the move's first target
+        # in Distribution (sorted name) order; the other lands on its last.
+        targets = list(a.delta[(q, b)])
+        split[(mid, SHARP)] = (left, right)
+        split[(left, SHARP)] = (mid, targets[0])
+        split[(right, SHARP)] = (targets[-1], mid)
+    m = len(alphabet)
+    odd = {index[s] * m + m - 1: pair for (s, _), pair in split.items()}
+    table, _ = _write_rows(states, alphabet, index, firsts, odd)
+    return NumberlessAutomaton(states, alphabet, a.initial, table, a.final), gadget, sink, split
 
 
 @dataclass(frozen=True)
@@ -188,16 +175,9 @@ def fair_coin(a: ProbAutomaton, lam: Fraction) -> FairCoinOutput:
     the move's targets. Initial and final states carry over unchanged.
     """
     lam = _in_open_unit("lam", lam)
-    skel = _coin_skeleton(a)
-    delta: dict[tuple[str, str], Distribution] = {}
-    dirac_cache = {s: dirac(s) for s in skel.states}
-    for (s, c), (t_lam, t_other) in skel.branch.items():
-        if t_lam == t_other:
-            delta[(s, c)] = dirac_cache[t_lam]
-        else:
-            delta[(s, c)] = Distribution({t_lam: lam, t_other: 1 - lam})
-    pa = ProbAutomaton(skel.states, skel.alphabet, skel.initial, delta, skel.final)
-    return FairCoinOutput(pa, lam, skel.gadget, skel.sink)
+    support, gadget, sink, split = _coin_support(a)
+    toss = {pair: Distribution({t: lam, u: 1 - lam}) for pair, (t, u) in split.items()}
+    return FairCoinOutput(_instance(support, toss), lam, gadget, sink)
 
 
 def encode_word(word: Sequence[str], k: int) -> list[str]:
@@ -236,9 +216,12 @@ def hat(word: Sequence[str], order: Sequence[str]) -> list[str]:
 
     Each letter b becomes one check/dollar/apply triple per state of ``order``
     (in that order) followed by ``next_transition``; 3*len(order)+1 probe
-    letters per base letter.
+    letters per base letter. Raises DomainError, before any work, when that
+    would be more than ``MAX_ENCODED_LETTERS`` letters.
     """
     order = _check_order(order)
+    if (size := len(word) * (3 * len(order) + 1)) > MAX_ENCODED_LETTERS:
+        raise DomainError(f"encoding gives {size} letters, more than {MAX_ENCODED_LETTERS}")
     out: list[str] = []
     for b in word:
         for q in order:
@@ -326,12 +309,15 @@ def fairness_dfa(b_alphabet: Sequence[str], order: Sequence[str]) -> ProbAutomat
     probe alphabet: per base letter a full check/dollar/apply sweep through
     ``order`` ending in next_transition, with groups of letters closed off by
     next_word. States are 0/1 deterministic; the start state is the single
-    accepting state. Any deviation falls into a dead sink.
+    accepting state. Any deviation falls into a dead sink. More than
+    ``MAX_SIMULATION_PAIRS`` (state, letter) pairs raise DomainError before
+    any row is written.
     """
     order = _check_order(order)
     b_alphabet = tuple(b_alphabet)
     if len(set(b_alphabet)) != len(b_alphabet):
         raise ValidationError("duplicate letters in the base alphabet")
+    _bound_pairs(3 * len(b_alphabet) * len(order) + 3, 2 * len(b_alphabet) * len(order) + 3)
     alphabet = sim_alphabet(b_alphabet, order)
     states, goto, sink = _checker(b_alphabet, order)
     dirac_cache = {s: dirac(s) for s in states}
@@ -403,35 +389,46 @@ class SimulationNPA:
         return state == start  # the checker's one accepting state
 
 
-def _probe_skeleton(a: ProbAutomaton) -> _CoinSkeleton:
-    """The coin skeleton of ``a``, with ids that probe letters can hold: its
+def _probe_support(a: ProbAutomaton) -> tuple[NumberlessAutomaton, dict, str, dict]:
+    """:func:`_coin_support` of ``a``, with ids that probe letters can hold: its
     states are the simulation's state order, its letters the base alphabet."""
-    skel = _coin_skeleton(a)
-    for q in skel.states:
+    coin = _coin_support(a)
+    for q in coin[0].states:
         if any(ch in q for ch in "(),"):
             raise ValidationError(f"state id {q!r} may not contain '(', ')' or ','")
-    for b in skel.alphabet:
+    for b in coin[0].alphabet:
         if any(ch in b for ch in "(),"):
             raise ValidationError(f"letter {b!r} may not contain '(', ')' or ','")
-    return skel
+    return coin
+
+
+def _bound_pairs(states: int, letters: int) -> None:
+    if states * letters > MAX_SIMULATION_PAIRS:
+        raise DomainError(f"{states} states x {letters} letters is more than"
+                          f" {MAX_SIMULATION_PAIRS} pairs")
 
 
 def build_simulation(a: ProbAutomaton) -> SimulationNPA:
     """Compile a simple automaton into the one-coin probe automaton.
 
-    States: a left and a right copy of the biased-coin skeleton, five center
+    States: a left and a right copy of the biased-coin support, five center
     states, and the fairness checker. Probe words move mass left-to-right
     through the single probabilistic coin toss at (coin, $); next_transition
     returns committed mass to the left copy; next_word settles accounts
     (accepting left mass enters the checker's accepting track, the rest dies,
     waiting mass restarts). Undrawn combinations stay put. The npa's integer
     rows are written directly: each letter's row starts as a copy of the idle
-    row, and the letter's own moves overwrite a few entries.
+    row, and the letter's own moves overwrite a few entries. More than
+    ``MAX_SIMULATION_PAIRS`` (state, letter) pairs, reckoned from the shape of
+    ``a``, raise DomainError before any row is written.
     """
-    skel = _probe_skeleton(a)
-    order = skel.states
-    alphabet = sim_alphabet(skel.alphabet, order)
-    checker_states, moves, sink = _checker(skel.alphabet, order)
+    n = len(a.states) * (3 * len(a.alphabet) + 1) + 1  # the coin support's shape
+    k = len(a.alphabet) + 1
+    _bound_pairs(2 * n + 8 + 3 * n * k, 2 * n * k + 3)
+    support, _, _, split = _probe_support(a)
+    order, b_alphabet = support.states, support.alphabet
+    alphabet = sim_alphabet(b_alphabet, order)
+    checker_states, moves, sink = _checker(b_alphabet, order)
     start = checker_states[0]
 
     left = {q: f"L:{q}" for q in order}
@@ -453,33 +450,33 @@ def build_simulation(a: ProbAutomaton) -> SimulationNPA:
     rows = {c: idle.copy() for c in alphabet}
     # Left copies: check(_, q) hands q's mass to the coin, next_word settles it.
     for q in order:
-        for b in skel.alphabet:
+        for b in b_alphabet:
             rows[check_letter(b, q)][index[left[q]]] = coin_i
-        rows[NEXT_WORD][index[left[q]]] = start_i if q in skel.final else sink_i
+        rows[NEXT_WORD][index[left[q]]] = start_i if q in support.final else sink_i
     # Right copies: only next_transition moves them back.
     for q in order:
         rows[NEXT_TRANSITION][index[right[q]]] = index[left[q]]
-    # Center: $ tosses the coin, apply(b, q) fires (q, b)'s branches, and
-    # next_word restarts the waiting mass.
+    # Center: $ tosses the coin, apply(b, q) fires (q, b)'s branches (a Dirac
+    # move's one target on both), and next_word restarts the waiting mass.
     rows[DOLLAR][coin_i] = heads_i  # the first of its targets
     multi = {(coin, DOLLAR): (heads, tails, skip)}
-    for b in skel.alphabet:
+    for b in b_alphabet:
         for q in order:
-            t_lam, t_other = skel.branch[(q, b)]
+            t_lam, t_other = split.get((q, b)) or support.targets(q, b) * 2
             row = rows[apply_letter(b, q)]
             row[heads_i], row[tails_i], row[skip_i] = (
                 index[right[t_lam]], index[right[t_other]], wait_i)
-    rows[NEXT_WORD][wait_i] = index[left[skel.initial]]
+    rows[NEXT_WORD][wait_i] = index[left[support.initial]]
     # The checker's real moves; its other entries stay at its sink.
     for (s, c), t in moves.items():
         rows[c][index[s]] = index[t]
     table = TargetTable(states, alphabet, rows, multi, int_rows=True)
 
-    npa = NumberlessAutomaton(states, alphabet, left[skel.initial], table, {start})
+    npa = NumberlessAutomaton(states, alphabet, left[support.initial], table, {start})
     return SimulationNPA(
         npa=npa,
         state_order=order,
-        b_alphabet=skel.alphabet,
+        b_alphabet=b_alphabet,
         left=left,
         right=right,
         coin=coin,

@@ -41,9 +41,11 @@ state order, plus the targets of the pairs with several. A
 distributions of exactly its multi-target pairs. One writer, ``_write_rows``,
 turns per-pair input into rows: per-pair tables of distributions or of
 targets, triple sets and documents each read their own input into each pair's
-first target or its targets, and hand them over. :func:`instantiate` gives
-its result the support automaton's own table, :func:`support_abstraction`
-gives back the probabilistic automaton's, and
+first target or its targets, and hand them over, as the coin support of
+:func:`~pfakit.constructions.fair_coin` does. :func:`instantiate` gives its
+result the support automaton's own table (so does ``fair_coin``, whose
+result is an instance of that support), :func:`support_abstraction` gives back
+the probabilistic automaton's, and
 :func:`~pfakit.constructions.build_simulation` writes its rows directly.
 """
 

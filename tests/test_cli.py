@@ -446,6 +446,28 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert err == "error: eps must be >= 0, got a fraction too long to print\n"
 
+    @pytest.mark.parametrize("argv,message", [
+        (["fair-coin", "tiny", "--lambda", "-1/3"], "lam must lie strictly between 0 and 1, got -1/3"),
+        (["simulate-instantiate", "tiny", "--lambda", "1/2", "--theta", "-1/2"],
+         "theta must lie strictly between 0 and 1, got -1/2"),
+        (["sweep", "seesaw", "--set", "x=1/2", "--set", "y=1/2", "--grid", "1", "--eps", "-1/16"],
+         "eps must be >= 0, got -1/16"),
+        (["case-study", "--y", "1/4", "--x", "-1/2"], "negative mass -1/2 on state 'L1'"),
+        (["fair-coin", "tiny", "--lambda", "-1e4300"],
+         "lam must lie strictly between 0 and 1, got a fraction too long to print"),
+    ], ids=["fair-coin", "simulate-instantiate", "sweep", "case-study", "past-the-digit-limit"])
+    def test_negative_rational_in_the_space_form(self, capsys, tiny_doc, seesaw_doc, argv, message):
+        # argparse alone would take "-1/3" for an option and print its usage
+        documents = {"tiny": ["--automaton", tiny_doc], "seesaw": ["--automaton", seesaw_doc]}
+        argv = [token for word in argv for token in documents.get(word, [word])]
+        joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+        assert run(capsys, *argv) == run(capsys, *joined) == (2, "", f"error: {message}\n")
+
+    def test_rational_flags_are_read_from_the_parser(self):
+        from pfakit.cli import _rational_flags
+
+        assert _rational_flags() == {"--lambda", "--theta", "--eps", "--x", "--y"}
+
     # The pair (p, a) of this source has probabilities of about 6000 digits.
     LONG = "1/" + "7" * 3000 + "*1/" + "7" * 3000
 
@@ -495,7 +517,7 @@ class TestErrors:
 
 
 class TestProbeCommands:
-    """hat and fairness-dfa read only the coin skeleton, not the simulation."""
+    """hat and fairness-dfa read only the coin support, not the simulation."""
 
     @staticmethod
     def source_doc(tmp_path, states, alphabet, rows):
@@ -550,6 +572,26 @@ class TestWorkBounds:
         assert code == 2
         assert out == ""
         assert err == "error: encoding gives 2000000001 letters, more than 1000000\n"
+
+    def test_hat_beyond_the_letter_bound(self, capsys, tmp_path):
+        source = tmp_path / "source.json"
+        source.write_text(serialize_automaton(random_simple_pa(0, 2, 1)))
+        code, out, err = run(capsys, "hat", "--automaton", str(source), "--word", "a " * 500_000)
+        assert (code, out) == (2, "")
+        assert err == "error: encoding gives 14000000 letters, more than 1000000\n"
+
+    @pytest.mark.parametrize("command", ["simulate-build", "fairness-dfa"])
+    def test_simulation_beyond_the_pair_bound(self, capsys, tmp_path, monkeypatch, command):
+        def no_work(*args):
+            raise AssertionError("rows were written before the bound was checked")
+
+        monkeypatch.setattr("pfakit.constructions._checker", no_work)
+        source = tmp_path / "source.json"
+        source.write_text(serialize_automaton(random_simple_pa(0, 1, 26)))
+        code, out, err = run(capsys, command, "--automaton", str(source))
+        assert (code, out) == (2, "")
+        states = 6648 if command == "simulate-build" else 6483
+        assert err == f"error: {states} states x 4323 letters is more than 2000000 pairs\n"
 
     def test_case_study_beyond_the_m_bound(self, capsys):
         code, out, err = run(
@@ -742,7 +784,8 @@ class TestArgvFuzz:
                     argv.append(f"--set={name}={value}")
             for flag, values in FLAGS[command].items():
                 if flag in SCALING or draw(st.integers(0, 9)):  # now and then a flag is left out
-                    argv.append(f"{flag}={draw(values)}")
+                    value = draw(values)
+                    argv += draw(st.sampled_from(([f"{flag}={value}"], [flag, value])))
             with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
                 try:
                     code = main(argv)

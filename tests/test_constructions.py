@@ -9,17 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import raw_accept, raw_reach
-from pfakit.constructions import MAX_ENCODED_LETTERS
+from pfakit.constructions import MAX_ENCODED_LETTERS, MAX_SIMULATION_PAIRS
+from pfakit.core import _kernel, require_simple
 from pfakit import (
     NEXT_TRANSITION,
     NEXT_WORD,
     SHARP,
     AlphabetClash,
+    AutomatonError,
+    Distribution,
     DomainError,
     InconsistentSupport,
     NotSimple,
     NumberlessAutomaton,
     OrderMismatch,
+    ProbAutomaton,
     UnknownLetter,
     ValidationError,
     accept_prob,
@@ -32,16 +36,19 @@ from pfakit import (
     dirac,
     encode_word,
     erase_sharps,
+    export_dot,
     fair_coin,
     fairness_dfa,
     hat,
     instantiate,
     instantiate_simulation,
+    is_simple,
     parse_sim_letter,
     random_simple_pa,
     reach_prob,
     run_deterministic,
     seesaw_pa,
+    serialize_automaton,
     sim_alphabet,
     simulation_parameters,
     unhat,
@@ -187,6 +194,116 @@ class TestFairCoin:
             assert lhs <= rhs, (trial, w)
 
 
+def reference_fair_coin(a, lam):
+    """fair_coin the old way: every pair's (lam-target, other) in a per-pair
+    dict of Diracs and split Distributions, compiled by ProbAutomaton."""
+    lam = F(lam)
+    if not 0 < lam < 1:
+        raise DomainError(f"lam must lie strictly between 0 and 1, got {lam}")
+    require_simple(a)
+    if SHARP in a.alphabet:
+        raise AlphabetClash(f"source alphabet already contains {SHARP!r}")
+
+    def fresh(name):
+        while name in used:
+            name += "'"
+        used.add(name)
+        return name
+
+    used, states, gadget = set(a.states), list(a.states), {}
+    for q in a.states:
+        for b in a.alphabet:
+            gadget[(q, b)] = (fresh(f"{q}@{b}"), fresh(f"{q}@{b}:L"), fresh(f"{q}@{b}:R"))
+            states += gadget[(q, b)]
+    sink = fresh("sink")
+    states.append(sink)
+    alphabet = a.alphabet + (SHARP,)
+    branch = {}
+    for q in a.states:
+        branch[(q, SHARP)] = (q, q)
+        for b in a.alphabet:
+            mid, left, right = gadget[(q, b)]
+            branch[(q, b)] = (mid, mid)
+            targets = [t for t, _ in a.delta[(q, b)].items()]  # sorted by name
+            branch[(mid, SHARP)] = (left, right)
+            branch[(left, SHARP)] = (mid, targets[0])
+            branch[(right, SHARP)] = (targets[-1], mid)
+            for c in a.alphabet:
+                branch[(mid, c)] = branch[(left, c)] = branch[(right, c)] = (sink, sink)
+    for c in alphabet:
+        branch[(sink, c)] = (sink, sink)
+    diracs = {s: dirac(s) for s in states}
+    delta = {pair: diracs[t] if t == u else Distribution({t: lam, u: 1 - lam})
+             for pair, (t, u) in branch.items()}
+    pa = ProbAutomaton(tuple(states), alphabet, a.initial, delta, a.final)
+    return pa, lam, gadget, sink
+
+
+# Ids that collide with the gadget's and the sink's fresh names, declared out of name order.
+SOURCE_STATES = ("z", "a", "q@b", "m", "sink", "a@b:L", "q")
+SOURCE_LETTERS = ("b", "a", "c", SHARP)
+
+
+@st.composite
+def coin_sources(draw, letters=SOURCE_LETTERS[:3], simple=True):
+    """Automata over drawn ids whose pairs are Diracs or splits into two targets
+    drawn in either order: halves, or 1/3 and 2/3 when ``simple`` is False."""
+    states = draw(st.lists(st.sampled_from(SOURCE_STATES), min_size=1, max_size=4, unique=True))
+    alphabet = draw(st.lists(st.sampled_from(letters), min_size=1, max_size=3, unique=True))
+    split = st.sampled_from((F(1, 2),) if simple else (F(1, 2), F(1, 3)))
+    delta = {}
+    for pair in itertools.product(states, alphabet):
+        t, u = draw(st.lists(st.sampled_from(states), min_size=2, max_size=2))
+        p = draw(split)
+        delta[pair] = dirac(t) if t == u else Distribution({t: p, u: 1 - p})
+    final = draw(st.sets(st.sampled_from(states)))
+    return ProbAutomaton(tuple(states), tuple(alphabet), draw(st.sampled_from(states)), delta, final)
+
+
+def _outcome(build):
+    try:
+        return build()
+    except AutomatonError as exc:
+        return type(exc), str(exc)
+
+
+class TestFairCoinAgainstReference:
+    """fair_coin, an instance of the coin support, against the dict-built reference."""
+
+    @given(coin_sources(), st.sampled_from(LAMS))
+    @settings(max_examples=150, deadline=None)
+    def test_same_automaton_document_rows_and_gadget(self, a, lam):
+        out = fair_coin(a, lam)
+        pa, ref_lam, gadget, sink = reference_fair_coin(a, lam)
+        assert out.automaton == pa
+        assert serialize_automaton(out.automaton, name="c") == serialize_automaton(pa, name="c")
+        assert export_dot(out.automaton) == export_dot(pa)
+        assert _kernel(out.automaton).rows == _kernel(pa).rows
+        assert (out.lam, out.gadget, out.sink) == (ref_lam, gadget, sink)
+
+    def test_first_target_in_name_order(self):
+        # declared ("z", "a"): the lam retry lands on "a", the first by name
+        a = ProbAutomaton(("z", "a"), ("b",), "z", {
+            ("z", "b"): Distribution({"z": F(1, 2), "a": F(1, 2)}), ("a", "b"): dirac("a")}, {"a"})
+        out = fair_coin(a, F(1, 3))
+        assert out.automaton.delta[("z@b:L", SHARP)] == Distribution({"z@b": F(1, 3), "a": F(2, 3)})
+        assert serialize_automaton(out.automaton) == serialize_automaton(reference_fair_coin(a, F(1, 3))[0])
+
+    @given(coin_sources(letters=SOURCE_LETTERS, simple=False),
+           st.sampled_from((F(0), F(1), F(-1, 3), F(3, 2), F(1, 3), F(1, 2))))
+    @settings(max_examples=150, deadline=None)
+    def test_same_errors_in_the_same_order(self, a, lam):
+        # a bad lam, then a non-simple source, then '#' in the alphabet
+        got = _outcome(lambda: fair_coin(a, lam).automaton)
+        assert got == _outcome(lambda: reference_fair_coin(a, lam)[0])
+        if not 0 < lam < 1:
+            assert got[0] is DomainError
+        elif not is_simple(a):
+            assert got[0] is NotSimple
+        elif SHARP in a.alphabet:
+            assert got[0] is AlphabetClash
+
+
 class TestHat:
     def test_hat_layout(self, sim):
         order = sim.state_order
@@ -225,6 +342,40 @@ class TestHat:
         assert set(letters) == set(sim.npa.alphabet)
         n = len(sim.state_order)
         assert len(letters) == 2 * n * len(sim.b_alphabet) + 3
+
+
+class TestWorkBounds:
+    """hat, build_simulation and fairness_dfa refuse oversized work up front."""
+
+    def test_hat_letter_bound(self):
+        assert len(hat(["a"] * 250_000, ["q"])) == MAX_ENCODED_LETTERS
+        with pytest.raises(DomainError, match="^encoding gives 1000004 letters, more than 1000000$"):
+            hat(["a"] * 250_001, ["q"])
+        # 14 000 000 letters: refused before any is written
+        with pytest.raises(DomainError, match="^encoding gives 14000000 letters"):
+            hat(["a"] * 500_000, [f"q{i}" for i in range(9)])
+
+    def test_simulation_pair_bound(self):
+        assert MAX_SIMULATION_PAIRS == 2_000_000
+        with pytest.raises(DomainError, match=(
+                "^6648 states x 4323 letters is more than 2000000 pairs$")):
+            build_simulation(random_simple_pa(0, 1, 26))
+        with pytest.raises(DomainError, match="^6483 states x 4323 letters"):
+            fairness_dfa([f"b{i}" for i in range(27)], [f"q{i}" for i in range(80)])
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 1)])
+    def test_bounds_reckon_the_exact_shape(self, shape, monkeypatch):
+        from pfakit import constructions
+
+        sim = build_simulation(random_simple_pa(0, *shape))
+        for build, built in ((lambda: build_simulation(random_simple_pa(0, *shape)), sim.npa),
+                             (lambda: fairness_dfa(sim.b_alphabet, sim.state_order), sim.checker)):
+            pairs = len(built.states) * len(built.alphabet)
+            monkeypatch.setattr(constructions, "MAX_SIMULATION_PAIRS", pairs)
+            build()
+            monkeypatch.setattr(constructions, "MAX_SIMULATION_PAIRS", pairs - 1)
+            with pytest.raises(DomainError, match=f"more than {pairs - 1} pairs$"):
+                build()
 
 
 class TestSimulation:

@@ -443,9 +443,17 @@ def _built(how, monkeypatch):
         text = (resources.files("pfakit") / "data" / "seesaw.json").read_text(encoding="utf-8")
         doc, bindings = parse_document(text), {"x": F(5, 8), "y": F(1, 8)}
         return document_to_automaton(doc, bindings), bound_transitions(doc, bindings)
-    if how == "fair_coin":
-        a = random_simple_pa(7, 3, 2)
-        out, table = caught(lambda: fair_coin(a, F(1, 3)))
+    if how == "fair_coin":  # the coin support's _instance, as in the "_instance" case
+        from pfakit import constructions
+
+        seen, instance = [], constructions._instance
+        monkeypatch.setattr(constructions, "_instance",
+                            lambda npa, split: seen.append((npa, split)) or instance(npa, split))
+        out = fair_coin(random_simple_pa(7, 3, 2), F(1, 3))
+        monkeypatch.undo()
+        ((npa, spec),) = seen
+        table = {(s, c): spec.get((s, c)) or dirac(npa.targets(s, c)[0])
+                 for s in npa.states for c in npa.alphabet}
         return out.automaton, table
     if how == "buchi_reduction":
         a = random_simple_pa(8, 3, 3)
