@@ -16,6 +16,7 @@ import csv
 import functools
 import io
 import random
+import re
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -425,6 +426,9 @@ def _cmd_check_props(args) -> int:
 def _command(sub, name: str, help: str, func, automaton: bool = True) -> argparse.ArgumentParser:
     """Add subcommand ``name`` running ``func``, with the document flags if ``automaton``."""
     p = sub.add_parser(name, help=help)
+    # Python 3.13's rule: a token starting "-" and a digit, or "-." and a digit,
+    # is a value (-1/3, -1e4300, -.5), not an option; no option here is spelt so.
+    p._negative_number_matcher = re.compile(r"-\.?\d")
     if automaton:
         p.add_argument("--automaton", required=True, help="automaton document (JSON)")
         p.add_argument("--set", action="append", default=[], metavar="NAME=VALUE",
@@ -527,30 +531,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _rational_flags() -> frozenset[str]:
-    """Every option string, of any command, whose value parse_rational reads."""
-    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return frozenset(flag for p in sub.choices.values() for a in p._actions
-                     if a.type is parse_rational for flag in a.option_strings)
-
-
-def _join_negatives(tokens: Sequence[str]) -> list[str]:
-    """``tokens`` with each rational flag followed by a value such as -1/3
-    joined to it as ``--flag=-1/3``: argparse takes such a value for an option."""
-    out, flags = [], _rational_flags()
-    for t in tokens:
-        if out and out[-1] in flags and t.startswith("-") and not t.startswith("--"):
-            out[-1] += "=" + t
-        else:
-            out.append(t)
-    return out
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     # argparse reads "--flag=--" as an empty list of values; refuse it as a missing value.
-    tokens = _join_negatives(sys.argv[1:] if argv is None else argv)
+    tokens = sys.argv[1:] if argv is None else argv
     if any(t.startswith("--") and t.partition("=")[2] == "--" for t in tokens):
         parser.error("an option's value may not be '--'")
     try:

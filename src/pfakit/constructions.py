@@ -32,7 +32,9 @@ from .core import (
     Distribution,
     NumberlessAutomaton,
     ProbAutomaton,
+    SupportTriples,
     TargetTable,
+    _check_support,
     _instance,
     _show,
     _write_rows,
@@ -149,7 +151,8 @@ def _coin_support(a: ProbAutomaton) -> tuple[NumberlessAutomaton, dict, str, dic
     m = len(alphabet)
     odd = {index[s] * m + m - 1: pair for (s, _), pair in split.items()}
     table, _ = _write_rows(states, alphabet, index, firsts, odd)
-    return NumberlessAutomaton(states, alphabet, a.initial, table, a.final), gadget, sink, split
+    npa = NumberlessAutomaton(states, alphabet, a.initial, SupportTriples(table), a.final)
+    return npa, gadget, sink, split
 
 
 @dataclass(frozen=True)
@@ -176,6 +179,7 @@ def fair_coin(a: ProbAutomaton, lam: Fraction) -> FairCoinOutput:
     """
     lam = _in_open_unit("lam", lam)
     support, gadget, sink, split = _coin_support(a)
+    # 0 < lam < 1, so each toss puts positive mass on exactly its pair's two targets.
     toss = {pair: Distribution({t: lam, u: 1 - lam}) for pair, (t, u) in split.items()}
     return FairCoinOutput(_instance(support, toss), lam, gadget, sink)
 
@@ -470,9 +474,9 @@ def build_simulation(a: ProbAutomaton) -> SimulationNPA:
     # The checker's real moves; its other entries stay at its sink.
     for (s, c), t in moves.items():
         rows[c][index[s]] = index[t]
-    table = TargetTable(states, alphabet, rows, multi, int_rows=True)
+    table = TargetTable(states, alphabet, rows, multi, index=index)
 
-    npa = NumberlessAutomaton(states, alphabet, left[support.initial], table, {start})
+    npa = NumberlessAutomaton(states, alphabet, left[support.initial], SupportTriples(table), {start})
     return SimulationNPA(
         npa=npa,
         state_order=order,
@@ -495,13 +499,15 @@ def instantiate_simulation(
     """Give the one coin its numbers: heads lam*theta, tails (1-lam)*theta, skip 1-theta.
 
     Every instance of ``sim`` is a view of ``sim.npa``'s own table, whose one
-    multi-target pair is (coin, $), and carries only its own coin toss; only
-    that pair is checked.
+    multi-target pair is (coin, $), and carries only its own coin toss. The
+    toss is checked against that pair's targets, since a ``SimulationNPA``
+    can be rebuilt with other names by ``dataclasses.replace``.
     """
     lam, theta = _in_open_unit("lam", lam), _in_open_unit("theta", theta)
     toss = Distribution(
         {sim.heads: lam * theta, sim.tails: (1 - lam) * theta, sim.skip: 1 - theta}
     )
+    _check_support(sim.coin, DOLLAR, frozenset(sim.npa.targets(sim.coin, DOLLAR)), toss)
     return _instance(sim.npa, {(sim.coin, DOLLAR): toss})
 
 

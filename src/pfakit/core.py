@@ -8,8 +8,16 @@ matters.
 
 Automata are total: every (state, letter) pair must carry a distribution (or a
 support set, for :class:`NumberlessAutomaton`). Partial transition tables can
-be closed off with :func:`complete_with_sink`. Validation happens once, when an
-automaton is constructed; evaluation never re-checks it.
+be closed off with :func:`complete_with_sink`. Validation happens once, where a
+table enters the library; evaluation never re-checks it. A caller's table is
+checked by the constructor it is handed to: ``ProbAutomaton`` compiles a
+per-pair table of distributions, ``NumberlessAutomaton`` compiles triples or
+a per-pair table of targets and checks a raw :class:`TargetTable`'s rows, and
+:func:`instantiate` checks a spec against the support. What the library
+builds itself is passed on as a trusted view and not checked again: a
+``_SkeletonDelta`` to ``ProbAutomaton``, a :class:`SupportTriples` to
+``NumberlessAutomaton``, and to ``_instance`` the split distributions its
+callers have checked or built from checked parameters.
 
 Evaluation runs on a compiled integer form of the automaton, built the first
 time the automaton is evaluated and cached on it (automata that are only
@@ -255,10 +263,12 @@ class ProbAutomaton:
         return self._letter_set  # type: ignore[attr-defined]
 
 
-def _compile_delta(pa: ProbAutomaton, state_set, delta: dict) -> _SkeletonDelta:
-    """The rows view of a caller's per-pair table. Each distinct Distribution
-    object is checked once (tables share their Diracs); the table is walked
-    only when that check fails, to name the first offender."""
+def _compile_delta(pa: ProbAutomaton | NumberlessAutomaton, state_set,
+                   delta: Mapping) -> _SkeletonDelta:
+    """The rows view of a caller's per-pair table over ``pa``'s states and
+    letters. Each distinct Distribution object is checked once (tables share
+    their Diracs); the table is walked only when that check fails, to name
+    the first offender."""
     dists = list(map(delta.get, product(pa.states, pa.alphabet)))
     ids = list(map(id, dists))
     distinct = dict(zip(ids, dists))
@@ -299,9 +309,10 @@ class TargetTable(Mapping):
     ``rows[letter][i]`` is the index of the first target, in state order, of
     ``(states[i], letter)``; ``multi`` maps each pair with more than one
     target to all of them, in state order. As a mapping it is read-only and
-    lists the pairs in states x alphabet order. ``int_rows`` says that the
-    writer stored only exact ints, state indices it looked up itself, so
-    :meth:`rows_fit` checks their range but not their types.
+    lists the pairs in states x alphabet order. The table itself checks
+    nothing: ``NumberlessAutomaton`` runs :meth:`rows_fit` on a table handed
+    over raw, and trusts one wrapped in :class:`SupportTriples`, which only
+    the library's own writers do.
 
     A ``ProbAutomaton``'s ``delta`` is a view of such a table, whose
     ``multi`` pairs are exactly those with a split distribution.
@@ -309,9 +320,9 @@ class TargetTable(Mapping):
 
     def __init__(self, states: Sequence[str], alphabet: Sequence[str],
                  rows: dict[str, list[int]], multi: dict[tuple[str, str], tuple[str, ...]],
-                 *, int_rows: bool = False, index: dict[str, int] | None = None):
+                 *, index: dict[str, int] | None = None):
         self.states, self.alphabet = tuple(states), tuple(alphabet)
-        self.rows, self.multi, self.int_rows = rows, multi, int_rows
+        self.rows, self.multi = rows, multi
         self.index = index or {s: i for i, s in enumerate(self.states)}
         self.singles = [(s,) for s in self.states]  # shared single-target tuples
 
@@ -349,8 +360,7 @@ class TargetTable(Mapping):
         if not (rows.keys() == set(self.alphabet)
                 and all(r.__class__ is list and len(r) == n for r in rows.values())
                 and all(map(in_range.issuperset, rows.values()))
-                and (self.int_rows
-                     or set(map(type, chain.from_iterable(rows.values()))) == {int})):
+                and set(map(type, chain.from_iterable(rows.values()))) == {int}):
             return False
         for (s, a), hits in self.multi.items():
             at = [index.get(t) for t in hits]
@@ -392,7 +402,7 @@ def _write_rows(states, alphabet, index: dict[str, int], firsts: list,
             pair = (states[k // m], alphabet[k % m])
             multi[pair], objects[pair] = hit_list, hits
     rows = {a: firsts[j::m] for j, a in enumerate(alphabet)}
-    return TargetTable(states, alphabet, rows, multi, int_rows=True, index=index), objects
+    return TargetTable(states, alphabet, rows, multi, index=index), objects
 
 
 def _compile_targets(states, alphabet, table: Mapping) -> TargetTable:
@@ -448,9 +458,11 @@ class NumberlessAutomaton:
 
     ``support`` is a set of (state, letter, target) triples, or a per-pair
     table of targets, kept as the :class:`SupportTriples` of a
-    :class:`TargetTable`; a table over the same states and letters is kept
-    as it is, once its rows are checked. Totality is required: every
-    (state, letter) pair has at least one target.
+    :class:`TargetTable`. A ``SupportTriples`` over the same states and
+    letters is the library's own view and is kept as it is, unchecked; a raw
+    ``TargetTable`` over them is kept once :meth:`TargetTable.rows_fit`
+    passes, and anything else is compiled and checked. Totality is required:
+    every (state, letter) pair has at least one target.
     """
 
     states: tuple[str, ...]
@@ -469,9 +481,11 @@ class NumberlessAutomaton:
             raise ValidationError(f"initial state {self.initial!r} not among states")
         if stray := self.final - frozenset(self.states):
             raise ValidationError(f"final states {sorted(stray)} not among states")
-        table = self.support  # triples, or a per-pair table
+        table = self.support  # a view, triples, or a per-pair table
         if isinstance(table, SupportTriples):
             table = table.table
+            if (table.states, table.alphabet) == (self.states, self.alphabet):
+                return  # the library's own view, kept as it is
         elif not isinstance(table, Mapping):
             table = {}
             for s, a, t in self.support:
@@ -788,7 +802,8 @@ def require_simple(pa: ProbAutomaton) -> ProbAutomaton:
 
 def support_abstraction(pa: ProbAutomaton) -> NumberlessAutomaton:
     """Erase the numbers: the support automaton on ``pa``'s own table."""
-    return NumberlessAutomaton(pa.states, pa.alphabet, pa.initial, pa.delta.table, pa.final)
+    return NumberlessAutomaton(pa.states, pa.alphabet, pa.initial,
+                               SupportTriples(pa.delta.table), pa.final)
 
 
 def _check_support(s: str, a: str, wanted: frozenset[str], dist) -> None:
@@ -808,25 +823,6 @@ def _check_support(s: str, a: str, wanted: frozenset[str], dist) -> None:
         )
 
 
-def _spec_fits(table: TargetTable, dists: list, delta_spec: Mapping) -> bool:
-    """True iff ``dists``, the distributions of ``table``'s pairs in states x
-    alphabet order, put positive mass on exactly each pair's targets. Each
-    distinct Distribution object is read once: a Dirac must sit where its
-    target is the row's entry, and any other on a multi-target pair."""
-    ids = list(map(id, dists))
-    distinct = dict(zip(ids, dists))
-    if not all(isinstance(d, Distribution) for d in distinct.values()):
-        return False
-    # Each object's one target, or None for several; likewise each pair's.
-    at = {key: next(iter(d._entries)) if len(d._entries) == 1 else None
-          for key, d in distinct.items()}
-    wanted = _pair_order(table.index, table.alphabet, table.rows, table.states,
-                         dict.fromkeys(table.multi))
-    return (list(map(at.__getitem__, ids)) == wanted
-            and all(delta_spec[pair]._entries.keys() == set(hits)
-                    for pair, hits in table.multi.items()))
-
-
 def instantiate(
     npa: NumberlessAutomaton, delta_spec: Mapping[tuple[str, str], Distribution]
 ) -> ProbAutomaton:
@@ -834,20 +830,26 @@ def instantiate(
 
     Succeeds iff ``delta_spec`` puts positive mass on exactly the support
     triples; the first violation is reported with its direction (missing mass
-    on a support triple vs. extra mass outside the support). Each distinct
-    Distribution object is checked once against the rows; the pairs are
-    walked only when that check fails, to name the first violation. The
-    result's ``delta`` is a view of ``npa``'s own table.
+    on a support triple vs. extra mass outside the support). This is where a
+    spec is checked: it is compiled into rows as ``ProbAutomaton`` compiles
+    a table, each distinct Distribution object once, and must give the
+    support's own rows and multi-target pairs. The pairs are walked only
+    when it does not, to name the first violation. The result's ``delta`` is
+    a view of ``npa``'s own table.
     """
     table = npa.support.table  # type: ignore[attr-defined]
-    dists = list(map(delta_spec.get, product(npa.states, npa.alphabet)))
-    if len(delta_spec) != len(dists) or not _spec_fits(table, dists, delta_spec):
+    try:
+        compiled = _compile_delta(npa, frozenset(npa.states), delta_spec).table
+    except ValidationError:
+        compiled = None
+    if compiled is None or (compiled.rows, compiled.multi) != (table.rows, table.multi):
         for s, a in sorted(pair for pair in delta_spec if pair not in table):
             raise InconsistentSupport(f"distribution given for unknown pair ({s!r}, {a!r})")
         for s in npa.states:
             for a in npa.alphabet:
                 _check_support(s, a, frozenset(npa.targets(s, a)), delta_spec.get((s, a)))
-    return _instance(npa, {pair: delta_spec[pair] for pair in table.multi})
+        raise AssertionError("a spec failed its bulk check but has no offender")
+    return _instance(npa, delta_spec)
 
 
 def _instance(npa: NumberlessAutomaton, split: Mapping[tuple[str, str], Distribution]
@@ -855,17 +857,15 @@ def _instance(npa: NumberlessAutomaton, split: Mapping[tuple[str, str], Distribu
     """The automaton on ``npa``'s own table whose multi-target pairs carry
     ``split``'s distributions; every other pair is its row's Dirac.
 
-    ``split`` must cover exactly those pairs and put positive mass on exactly
-    their targets. Only its pairs are checked, in sorted order, so this costs
-    nothing per Dirac pair.
+    Nothing is checked here. ``split`` must hold, for each multi-target pair,
+    a Distribution with positive mass on exactly its targets; other pairs
+    are ignored. The callers own that check: :func:`instantiate` checks the
+    whole spec, ``instantiate_simulation`` its one coin toss, and
+    ``fair_coin`` and ``noisy_sweep`` build their splits from parameters
+    they have checked.
     """
     table = npa.support.table  # type: ignore[attr-defined]
-    multi = table.multi
-    for s, a in sorted(split.keys() - multi.keys()):
-        raise InconsistentSupport(f"distribution given for unknown pair ({s!r}, {a!r})")
-    for s, a in sorted(multi):
-        _check_support(s, a, frozenset(multi[(s, a)]), split.get((s, a)))
-    view = _SkeletonDelta(table, {pair: split[pair] for pair in multi})
+    view = _SkeletonDelta(table, {pair: split[pair] for pair in table.multi})
     return ProbAutomaton(npa.states, npa.alphabet, npa.initial, view, npa.final)
 
 

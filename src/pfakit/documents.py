@@ -52,7 +52,7 @@ from itertools import chain, compress, product, repeat
 from typing import NoReturn, Union
 
 from .core import (
-    MAX_EXPONENT, Distribution, NumberlessAutomaton, ProbAutomaton, _SkeletonDelta,
+    MAX_EXPONENT, Distribution, NumberlessAutomaton, ProbAutomaton, SupportTriples, _SkeletonDelta,
     _table_and_split, _write_rows, instantiate,
 )
 from .constructions import BuchiAutomaton
@@ -434,7 +434,7 @@ def _from_columns(doc: AutomatonDocument, bindings) -> Automaton | None:
     table, split = _write_rows(states, alphabet, index, firsts, odd)
     try:  # the constructors check the ids and the initial and final states
         if support_only:
-            return NumberlessAutomaton(states, alphabet, doc.initial, table, doc.final)
+            return NumberlessAutomaton(states, alphabet, doc.initial, SupportTriples(table), doc.final)
         pa = ProbAutomaton(states, alphabet, doc.initial, _SkeletonDelta(table, split), frozenset(doc.final))
     except ValidationError:
         return None

@@ -455,18 +455,30 @@ class TestErrors:
         (["case-study", "--y", "1/4", "--x", "-1/2"], "negative mass -1/2 on state 'L1'"),
         (["fair-coin", "tiny", "--lambda", "-1e4300"],
          "lam must lie strictly between 0 and 1, got a fraction too long to print"),
-    ], ids=["fair-coin", "simulate-instantiate", "sweep", "case-study", "past-the-digit-limit"])
+        (["fair-coin", "tiny", "--lambda", "-.5"], "lam must lie strictly between 0 and 1, got -1/2"),
+        (["fair-coin", "tiny", "--lamb", "-1/3"], "lam must lie strictly between 0 and 1, got -1/3"),
+        (["simulate-instantiate", "tiny", "--lam", "1/2", "--th", "-1/2"],
+         "theta must lie strictly between 0 and 1, got -1/2"),
+        (["sweep", "seesaw", "--set", "x=1/2", "--set", "y=1/2", "--gr", "1", "--ep", "-1/16"],
+         "eps must be >= 0, got -1/16"),
+    ], ids=["fair-coin", "simulate-instantiate", "sweep", "case-study", "past-the-digit-limit",
+            "leading-dot", "fair-coin-abbreviated", "simulate-instantiate-abbreviated",
+            "sweep-abbreviated"])
     def test_negative_rational_in_the_space_form(self, capsys, tiny_doc, seesaw_doc, argv, message):
-        # argparse alone would take "-1/3" for an option and print its usage
+        # argparse before Python 3.13 would take "-1/3" for an option and print its usage
         documents = {"tiny": ["--automaton", tiny_doc], "seesaw": ["--automaton", seesaw_doc]}
         argv = [token for word in argv for token in documents.get(word, [word])]
         joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
         assert run(capsys, *argv) == run(capsys, *joined) == (2, "", f"error: {message}\n")
 
-    def test_rational_flags_are_read_from_the_parser(self):
-        from pfakit.cli import _rational_flags
-
-        assert _rational_flags() == {"--lambda", "--theta", "--eps", "--x", "--y"}
+    def test_a_value_that_is_not_an_option_reaches_the_library(self, capsys, tiny_doc):
+        # "-1x" is read as a value, so the library refuses the letter, not argparse the argv
+        assert run(capsys, "eval", "--automaton", tiny_doc, "--word", "-1x") == (
+            2, "", "error: letter '-1x' not in alphabet ['a']\n")
+        with pytest.raises(SystemExit) as exc:  # "-x" is still an option to argparse
+            main(["fair-coin", "--automaton", tiny_doc, "--lambda", "-x"])
+        assert exc.value.code == 2
+        assert "argument --lambda: expected one argument" in capsys.readouterr().err
 
     # The pair (p, a) of this source has probabilities of about 6000 digits.
     LONG = "1/" + "7" * 3000 + "*1/" + "7" * 3000
@@ -785,6 +797,7 @@ class TestArgvFuzz:
             for flag, values in FLAGS[command].items():
                 if flag in SCALING or draw(st.integers(0, 9)):  # now and then a flag is left out
                     value = draw(values)
+                    flag = flag[:draw(st.integers(3, len(flag)))]  # argparse takes abbreviations
                     argv += draw(st.sampled_from(([f"{flag}={value}"], [flag, value])))
             with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
                 try:

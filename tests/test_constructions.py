@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import raw_accept, raw_reach
-from pfakit.constructions import MAX_ENCODED_LETTERS, MAX_SIMULATION_PAIRS
+from pfakit.constructions import MAX_ENCODED_LETTERS, MAX_SIMULATION_PAIRS, _coin_support
 from pfakit.core import _kernel, require_simple
+from pfakit.documents import document_to_automaton, parse_document
 from pfakit import (
     NEXT_TRANSITION,
     NEXT_WORD,
@@ -51,6 +52,7 @@ from pfakit import (
     serialize_automaton,
     sim_alphabet,
     simulation_parameters,
+    support_abstraction,
     unhat,
 )
 
@@ -302,6 +304,21 @@ class TestFairCoinAgainstReference:
             assert got[0] is NotSimple
         elif SHARP in a.alphabet:
             assert got[0] is AlphabetClash
+
+
+class TestTrustedTables:
+    """Each table the library writes reaches NumberlessAutomaton as a trusted
+    view, unchecked; the rows check and the checked triple path agree with it."""
+
+    @given(coin_sources(letters=SOURCE_LETTERS[:2]))  # two letters keep the simulations small
+    @settings(max_examples=30, deadline=None)
+    def test_rows_fit_and_equal_the_triple_path(self, a):
+        coin = _coin_support(a)[0]
+        loaded = document_to_automaton(parse_document(serialize_automaton(coin)))
+        for npa in (support_abstraction(a), coin, build_simulation(a).npa, loaded):
+            assert npa.support.table.rows_fit()
+            assert npa == NumberlessAutomaton(
+                npa.states, npa.alphabet, npa.initial, set(npa.support), npa.final)
 
 
 class TestHat:

@@ -236,11 +236,11 @@ class TestTargetTables:
         ids=["index-too-big", "negative-index", "short-row"],
     )
     def test_int_rows_are_still_checked_for_range_and_shape(self, rows):
-        """``int_rows`` spares a writer's exact ints the type check, nothing else."""
+        """Rows of exact ints pass the type check and are still checked for range and shape."""
+        table = TargetTable(self.STATES, self.ALPHABET, rows, {})
+        assert not table.rows_fit()
         with pytest.raises(ValidationError, match="^support rows need"):
-            self.build(TargetTable(self.STATES, self.ALPHABET, rows, {}, int_rows=True))
-        assert self.build(TargetTable(self.STATES, self.ALPHABET, self.ROWS, self.MULTI,
-                                      int_rows=True)) == self.build(self.table())
+            self.build(table)
 
     @pytest.mark.parametrize(
         "changes,message",
@@ -492,6 +492,7 @@ class TestOrderedDelta:
         assert _kernel(pa).rows == _kernel(twin).rows
         assert pa.delta.spec == split and list(pa.delta) == pairs
         assert pa.delta.table.multi.keys() == split.keys()
+        assert list(pa.delta.spec) == list(pa.delta.table.multi)  # the table's order, not the caller's
         assert support_abstraction(pa) == npa
         assert support_abstraction(pa).support.table is pa.delta.table
         # its split pairs take their own distributions back on its own table
@@ -687,48 +688,6 @@ class TestSupportRoundTrip:
         with pytest.raises(error) as exc:
             instantiate(seesaw_support, spec)
         assert str(exc.value) == message
-
-
-class TestInstance:
-    """``_instance`` checks only the split pairs, in sorted pair order."""
-
-    @pytest.mark.parametrize("change,error,message", [
-        ({("C1", "i"): None}, InconsistentSupport, "missing: no distribution for ('C1', 'i')"),
-        ({("C1", "a"): dirac("C1")}, InconsistentSupport,
-         "distribution given for unknown pair ('C1', 'a')"),
-        ({("Z", "a"): dirac("C1"), ("C1", "z"): dirac("C1")}, InconsistentSupport,
-         "distribution given for unknown pair ('C1', 'z')"),
-        ({("L1", "a"): dirac("L1")}, InconsistentSupport,
-         "missing: ('L1', 'a', 'C2') is in the support but got zero mass"),
-        ({("L1", "a"): Distribution({"C2": HALF, "L1": HALF / 2, "Z": HALF / 2})},
-         InconsistentSupport, "extra: ('L1', 'a', 'Z') got mass 1/4 outside the support"),
-        ({("R1", "a"): {"C2": 1}}, ValidationError, "delta[('R1', 'a')] is not a Distribution"),
-    ], ids=["missing-pair", "dirac-pair", "unknown-pairs-sorted", "split-missing",
-            "split-extra", "not-a-distribution"])
-    def test_messages(self, seesaw_support, change, error, message):
-        from pfakit import seesaw_delta
-
-        split = {pair: d for pair, d in seesaw_delta(HALF, HALF).items() if len(d) > 1}
-        split.update(change)
-        split = {pair: d for pair, d in split.items() if d is not None}
-        with pytest.raises(error) as exc:
-            _instance(seesaw_support, split)
-        assert str(exc.value) == message
-
-    def test_first_offender_in_sorted_pair_order(self):
-        # the table, its multi-target pairs and the split all list ('q', 'b') first
-        npa = NumberlessAutomaton(("p", "q"), ("a", "b"), "p", {
-            ("q", "b"): ("p", "q"), ("p", "a"): ("q", "p"), ("p", "b"): ("p",), ("q", "a"): ("q",),
-        }, {"q"})
-        assert list(npa.support.table.multi) == [("q", "b"), ("p", "a")]
-        split = {("q", "b"): dirac("q"), ("p", "a"): dirac("p")}
-        with pytest.raises(InconsistentSupport) as exc:
-            _instance(npa, split)
-        assert str(exc.value) == "missing: ('p', 'a', 'q') is in the support but got zero mass"
-        split[("p", "a")] = Distribution({"p": HALF, "q": HALF})
-        with pytest.raises(InconsistentSupport) as exc:
-            _instance(npa, split)
-        assert str(exc.value) == "missing: ('q', 'b', 'p') is in the support but got zero mass"
 
 
 class TestMonteCarlo:
